@@ -9,6 +9,7 @@ with rate and disagreement metrics.
 """
 
 from .analysis import (
+    DegenerateSampleError,
     ModelStats,
     PredictionError,
     correlation,

@@ -25,6 +25,15 @@ from ._rng import Stream, as_rng
 NOISE_VAR = 1.0
 
 
+class DegenerateSampleError(ValueError):
+    """A sample block no statistic can be formed from, such as one of zero
+    power or with tied quartiles.
+
+    It describes the drawn data, not the program: a sweep records it as a
+    flagged row, where any other error propagates.
+    """
+
+
 @dataclass(frozen=True)
 class ModelStats:
     """Statistical parameters feeding the closed-form predictions.
@@ -79,7 +88,7 @@ def correlation(xs, ys) -> complex:
         float(np.mean(np.abs(ys) ** 2))
     )
     if denom == 0.0:
-        raise ValueError("degenerate samples: zero second moment")
+        raise DegenerateSampleError("degenerate samples: zero second moment")
     num = np.mean(xs * np.conj(ys)) - np.mean(xs) * np.conj(np.mean(ys))
     return complex(num / denom)
 

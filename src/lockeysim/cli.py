@@ -14,14 +14,13 @@ from .protocol import estimate_gamma
 
 
 def _cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = config.with_overrides(master_seed=args.seed)
-    if args.trials is not None:
-        config = config.with_overrides(trials=args.trials)
-    if args.jobs is not None:
-        config = config.with_overrides(jobs=args.jobs)
-    config = preset_config(args.preset, base=config)
+    overrides = {
+        key: value
+        for key, value in (("harness.master_seed", args.seed), ("harness.trials", args.trials),
+                           ("harness.jobs", args.jobs))
+        if value is not None
+    }
+    config = preset_config(args.preset, base=load_config(args.config, overrides))
     rows = run_sweep(config)
     emit_csv(rows, args.output)
     failed = [row for row in rows if row.flag]

@@ -55,6 +55,11 @@ DEFAULTS = {
     "harness.jobs": 1,
 }
 
+#: Largest SNR magnitude of the sweep axis, in dB.  Beyond about 3000 dB the
+#: noise variance ``10**(-snr/10)`` is no longer a finite non-zero double;
+#: the cap sits far inside that and far outside any physical link.
+MAX_SNR_DB = 300.0
+
 for _link in _LINK_KEYS:
     DEFAULTS[f"channel.{_link}.delays_ms"] = None   # None: bundled profile
     DEFAULTS[f"channel.{_link}.delays_us"] = None
@@ -133,7 +138,7 @@ def _require_int(raw, key, minimum=None):
     return raw
 
 
-def _require_number(raw, key, minimum=None):
+def _require_number(raw, key, minimum=None, maximum=None):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {raw!r}")
     value = float(raw)
@@ -141,6 +146,8 @@ def _require_number(raw, key, minimum=None):
         raise ConfigError(f"{key}: must be finite, got {raw!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{key}: must be >= {minimum}, got {raw}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{key}: must be <= {maximum}, got {raw}")
     return value
 
 
@@ -230,10 +237,12 @@ def build_config(overrides: Optional[dict] = None) -> ExperimentConfig:
     metric = _require_choice(values["keygen.metric"], "keygen.metric", {"bit_rate", "information", "both"})
 
     snr_grid = tuple(
-        _require_number(v, "harness.snr_grid_db")
+        _require_number(v, "harness.snr_grid_db", -MAX_SNR_DB, MAX_SNR_DB)
         for v in _require_list(values["harness.snr_grid_db"], "harness.snr_grid_db")
     )
-    trials = _require_int(values["harness.trials"], "harness.trials", 1)
+    # four samples per subcarrier column are the fewest the quartile
+    # quantizer can place its thresholds in
+    trials = _require_int(values["harness.trials"], "harness.trials", 4)
     schemes = tuple(
         Scheme.parse(_require_choice(v, "harness.schemes", {s.value for s in Scheme}))
         for v in _require_list(values["harness.schemes"], "harness.schemes")
@@ -286,13 +295,15 @@ def build_config(overrides: Optional[dict] = None) -> ExperimentConfig:
     )
 
 
-def load_config(path: Optional[str]) -> ExperimentConfig:
+def load_config(path: Optional[str], overrides: Optional[dict] = None) -> ExperimentConfig:
     """Load and validate a configuration file.
 
     ``None`` or an empty file yields the full default configuration.
+    `overrides` are dotted keys applied over the file's values before
+    validation, so they are checked like any key in the file.
     """
     if path is None:
-        return build_config({})
+        return build_config(overrides)
     if not os.path.exists(path):
         raise ConfigError(f"configuration file not found: {path}")
     with open(path, "r", encoding="utf-8") as handle:
@@ -304,4 +315,4 @@ def load_config(path: Optional[str]) -> ExperimentConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a key/value mapping at the top level")
-    return build_config(_flatten(raw))
+    return build_config({**_flatten(raw), **(overrides or {})})

@@ -10,13 +10,14 @@ pilot power by default, so 0 dB means unit noise variance).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ._rng import Stream, as_rng
+from ._rng import Stream, as_rng, batch_shape
 
 # Number of sinusoids per tap in the Doppler model.  Large enough that each
 # tap gain is effectively complex Gaussian at any fixed time.
@@ -106,59 +107,79 @@ DEFAULT_PROFILES = {
 
 @dataclass(frozen=True, eq=False)
 class FadingProcess:
-    """One realization of a time-evolving multipath channel.
+    """One realization of a time-evolving multipath channel, or one per trial.
 
     Each tap gain is a sum of ``JAKES_OSCILLATORS`` random-phase sinusoids
     whose frequencies are ``max_doppler * cos(angle)`` with random angles,
     scaled so the mean tap power equals the profile's linear power exactly.
-    With ``max_doppler == 0`` every gain is constant in time.  Instances are
-    immutable and safe to evaluate from concurrent workers.
+    With ``max_doppler == 0`` every gain is constant in time.  A batched
+    process carries independent realizations along a leading trial axis.
+    Instances are immutable and safe to evaluate from concurrent workers.
     """
 
     profile: TapProfile
     max_doppler: float
     _amplitudes: np.ndarray = field(repr=False)   # (n_taps,)
-    _rates: np.ndarray = field(repr=False)        # (n_taps, M), rad/s
-    _phases: np.ndarray = field(repr=False)       # (n_taps, M)
+    _rates: np.ndarray = field(repr=False)        # ([trials,] n_taps, M), rad/s
+    _phases: np.ndarray = field(repr=False)       # ([trials,] n_taps, M)
 
     def gains(self, time_s: float) -> np.ndarray:
-        """Complex tap gains at an absolute time in seconds."""
+        """Complex tap gains ``([trials,] n_taps)`` at an absolute time in seconds."""
         if time_s < 0:
             raise ValueError("time must be non-negative")
-        osc = np.exp(1j * (self._rates * time_s + self._phases))
-        return self._amplitudes * osc.sum(axis=1)
+        angle = self._rates * time_s + self._phases
+        # real cos/sin sums: half the temporary memory of a complex exp
+        return self._amplitudes * (np.cos(angle).sum(axis=-1) + 1j * np.sin(angle).sum(axis=-1))
 
 
-def make_fading_process(profile: TapProfile, max_doppler_hz: float, stream: Stream) -> FadingProcess:
+def make_fading_process(
+    profile: TapProfile, max_doppler_hz: float, stream: Stream, trials: Optional[int] = None
+) -> FadingProcess:
     """Draw a fading realization for `profile` with the given Doppler spread.
 
-    Deterministic for a fixed stream id.  Raises ValueError for a negative
-    Doppler; an invalid profile is rejected by TapProfile itself.
+    With `trials`, draws that many independent realizations from the one
+    stream.  Deterministic for a fixed stream id.  Raises ValueError for a
+    negative Doppler; an invalid profile is rejected by TapProfile itself.
     """
     if not isinstance(profile, TapProfile):
         profile = TapProfile(*profile)
     if max_doppler_hz < 0:
         raise ValueError("max_doppler_hz must be >= 0")
     rng = as_rng(stream)
-    n, m = profile.n_taps, JAKES_OSCILLATORS
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=(n, m))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(n, m))
+    m = JAKES_OSCILLATORS
+    shape = batch_shape(trials, profile.n_taps, m)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=shape)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=shape)
     rates = 2.0 * np.pi * max_doppler_hz * np.cos(angles)
     amplitudes = np.sqrt(profile.linear_powers / m)
     return FadingProcess(profile, float(max_doppler_hz), amplitudes, rates, phases)
 
 
-def frequency_response(process: FadingProcess, time_s: float, subcarrier_freqs) -> np.ndarray:
-    """Per-subcarrier response of the tapped-delay line at one instant.
-
-    The response at frequency f is ``sum_l gain_l(t) * exp(-2j*pi*f*delay_l)``.
-    """
+def _finite_freqs(subcarrier_freqs) -> tuple:
     freqs = np.asarray(subcarrier_freqs, dtype=float)
     if not np.all(np.isfinite(freqs)):
         raise ValueError("subcarrier frequencies must be finite")
-    gains = process.gains(time_s)
-    steering = np.exp(-2j * np.pi * np.outer(freqs, process.profile.delays_s))
-    return steering @ gains
+    return tuple(freqs.ravel())
+
+
+@functools.lru_cache(maxsize=64)
+def _steering(profile: TapProfile, freqs: tuple) -> np.ndarray:
+    """Read-only ``(n_taps, n_freqs)`` phase ramps ``exp(-2j*pi*f*delay)``.
+
+    Cached by value: a profile and a frequency grid are constants of a
+    configuration, and equal values share one matrix in every process.
+    """
+    steering = np.exp(-2j * np.pi * np.outer(profile.delays_s, freqs))
+    steering.setflags(write=False)
+    return steering
+
+
+def frequency_response(process: FadingProcess, time_s: float, subcarrier_freqs) -> np.ndarray:
+    """Per-subcarrier response ``([trials,] n_freqs)`` of the tapped-delay line at one instant.
+
+    The response at frequency f is ``sum_l gain_l(t) * exp(-2j*pi*f*delay_l)``.
+    """
+    return process.gains(time_s) @ _steering(process.profile, _finite_freqs(subcarrier_freqs))
 
 
 @dataclass(frozen=True)
@@ -176,13 +197,8 @@ class HardwareFingerprint:
 
 def fingerprint_response(fingerprint: HardwareFingerprint, subcarrier_freqs) -> np.ndarray:
     """Time-invariant per-subcarrier response of a hardware filter."""
-    freqs = np.asarray(subcarrier_freqs, dtype=float)
-    if not np.all(np.isfinite(freqs)):
-        raise ValueError("subcarrier frequencies must be finite")
     profile = fingerprint.profile
-    amplitudes = np.sqrt(profile.linear_powers)
-    steering = np.exp(-2j * np.pi * np.outer(freqs, profile.delays_s))
-    return steering @ amplitudes
+    return np.sqrt(profile.linear_powers) @ _steering(profile, _finite_freqs(subcarrier_freqs))
 
 
 def add_awgn(signal, snr_db: Optional[float], stream: Stream, ref_power: Optional[float] = None):
@@ -190,16 +206,17 @@ def add_awgn(signal, snr_db: Optional[float], stream: Stream, ref_power: Optiona
 
     Parameters
     ----------
-    signal : complex array
+    signal : complex array, one symbol per row along the last axis
     snr_db : float or None
         SNR in dB.  ``None`` (or ``+inf``) is the explicit noiseless flag and
         returns the signal unchanged, so exactness tests need no large-SNR
         approximation.
     stream : stream id
     ref_power : float, optional
-        Power the SNR refers to.  ``None`` measures the mean power of
-        `signal` itself; passing ``1.0`` reproduces the unit-noise
-        convention where 0 dB means noise variance exactly 1.
+        Power the SNR refers to.  ``None`` measures the mean power of each
+        row of `signal` itself, so every trial of a batch is referenced to
+        its own probe; passing ``1.0`` reproduces the unit-noise convention
+        where 0 dB means noise variance exactly 1.
     """
     signal = np.asarray(signal, dtype=complex)
     if snr_db is None or math.isinf(snr_db):
@@ -207,7 +224,7 @@ def add_awgn(signal, snr_db: Optional[float], stream: Stream, ref_power: Optiona
     if not math.isfinite(snr_db):
         raise ValueError("snr_db must be finite or the noiseless flag")
     if ref_power is None:
-        ref_power = float(np.mean(np.abs(signal) ** 2))
+        ref_power = np.mean(np.abs(signal) ** 2, axis=-1, keepdims=True)
     noise_var = ref_power * 10.0 ** (-snr_db / 10.0)
     rng = as_rng(stream)
     noise = rng.standard_normal(signal.shape) + 1j * rng.standard_normal(signal.shape)

@@ -1,9 +1,10 @@
 """Seeded Monte-Carlo sweeps over SNR, scheme, surface size and attack level.
 
-Every sweep cell and every trial inside it derives its random streams from
-the master seed and the cell's own parameters, never from its position in
-the sweep, so results are reproducible bit-for-bit regardless of worker
-count and unaffected by adding or removing other cells.
+Each sweep cell runs all of its trials as one batched round (and its
+gamma-training window, if any, as another).  Each block draws its random
+streams from the master seed and the cell's own parameters, never from its
+position in the sweep, so results are reproducible bit-for-bit regardless
+of worker count and unaffected by adding or removing other cells.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from ._rng import substream
 from .config import ExperimentConfig, build_config
 from .fading import HardwareFingerprint, fingerprint_response
 from .ofdm import pilot_values
-from .protocol import GAMMA_PER_ROUND, Scheme, build_environment, estimate_gamma, run_round
+from .protocol import GAMMA_PER_ROUND, RoundResult, Scheme, build_environment, estimate_gamma, run_round
 from .ris import JammerConfig
 
-#: Tags separating the measurement trials from the training trials in the
+#: Tags separating the measurement block from the training block in the
 #: per-cell stream derivation.
 _MEASURE_TAG = 0
 _TRAIN_TAG = 1
@@ -57,8 +58,8 @@ class ResultRow:
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
-def _cell_stream(config: ExperimentConfig, scheme: Scheme, snr_db: float, n_units: int, attacked: int, tag: int, trial: int):
-    """Stream key of one trial, a function of the cell parameters only."""
+def _cell_stream(config: ExperimentConfig, scheme: Scheme, snr_db: float, n_units: int, attacked: int, tag: int):
+    """Stream key of one block of rounds, a function of the cell parameters only."""
     snr_key = int(round(snr_db * 1000.0)) + _SNR_KEY_OFFSET
     if snr_key < 0:
         raise ValueError("snr_db out of the encodable range")
@@ -69,12 +70,12 @@ def _cell_stream(config: ExperimentConfig, scheme: Scheme, snr_db: float, n_unit
         int(n_units),
         int(attacked),
         int(tag),
-        int(trial),
     )
 
 
-def _run_trial(config: ExperimentConfig, scheme: Scheme, snr_db, n_units, attacked, gamma, tag, trial):
-    stream = _cell_stream(config, scheme, snr_db, n_units, attacked, tag, trial)
+def _run_block(config: ExperimentConfig, scheme: Scheme, snr_db, n_units, attacked, gamma, tag, trials) -> RoundResult:
+    """`trials` rounds of one cell as one batched round."""
+    stream = _cell_stream(config, scheme, snr_db, n_units, attacked, tag)
     env = build_environment(
         config.ofdm,
         config.profiles,
@@ -85,6 +86,7 @@ def _run_trial(config: ExperimentConfig, scheme: Scheme, snr_db, n_units, attack
         config.tau_s,
         substream(stream, 0),
         noise_ref=config.noise_ref,
+        trials=trials,
     )
     return run_round(scheme, env, gamma, substream(stream, 1))
 
@@ -92,13 +94,8 @@ def _run_trial(config: ExperimentConfig, scheme: Scheme, snr_db, n_units, attack
 def _train_gamma(config: ExperimentConfig, snr_db, n_units, attacked):
     """Per-subcarrier prediction scalar fitted on a separate training window."""
     window = config.gamma_window
-    history_a = np.empty((window, config.ofdm.symbol_length), dtype=complex)
-    history_b = np.empty_like(history_a)
-    for i in range(window):
-        result = _run_trial(config, Scheme.LOOPBACK, snr_db, n_units, attacked, None, _TRAIN_TAG, i)
-        history_a[i] = result.key_source_alice
-        history_b[i] = result.key_source_bob
-    return estimate_gamma(history_a, history_b, min_rounds=window)
+    history = _run_block(config, Scheme.LOOPBACK, snr_db, n_units, attacked, None, _TRAIN_TAG, window)
+    return estimate_gamma(history.key_source_alice, history.key_source_bob, min_rounds=window)
 
 
 def model_stats_for_cell(config: ExperimentConfig, snr_db: float, n_units: int) -> analysis.ModelStats:
@@ -133,20 +130,19 @@ def _quantize_block(values: np.ndarray) -> np.ndarray:
     its own quartile thresholds, so fixed per-subcarrier gains (hardware
     filters) cannot misalign the two parties' quantization cells.
     """
-    trials, n_sub = values.shape
-    bits = np.empty((trials, n_sub, 2), dtype=np.uint8)
-    for j in range(n_sub):
-        column = np.abs(values[:, j])
-        stream = keygen.quantize_gray2(column, keygen.compute_thresholds(column))
-        bits[:, j, :] = stream.bits.reshape(trials, 2)
-    return bits.ravel()
+    magnitudes = np.abs(values)
+    return keygen.quantize_gray2(magnitudes, keygen.compute_thresholds(magnitudes)).bits
 
 
 def run_cell(config: ExperimentConfig, scheme: Scheme, snr_db: float, n_units: int, attacked: int) -> ResultRow:
-    """Run all trials of one sweep cell and aggregate its metrics."""
+    """Run all trials of one sweep cell and aggregate its metrics.
+
+    A degenerate sample block becomes a row flagged ``error: ...``; any
+    other exception is a fault of the program and propagates.
+    """
     try:
         return _run_cell(config, scheme, snr_db, n_units, attacked)
-    except Exception as exc:  # record, never drop silently
+    except analysis.DegenerateSampleError as exc:  # record, never drop silently
         nan = float("nan")
         return ResultRow(
             scheme.value, float(snr_db), n_units, attacked,
@@ -163,18 +159,9 @@ def _run_cell(config, scheme, snr_db, n_units, attacked):
     else:
         gamma = _train_gamma(config, snr_db, n_units, attacked)
 
-    positions = config.ofdm.pilot_positions
-    n_pilots = positions.size
-    alice = np.empty((config.trials, n_pilots), dtype=complex)
-    bob = np.empty_like(alice)
-    gamma_mags = np.empty(config.trials)
-    for trial in range(config.trials):
-        result = _run_trial(config, scheme, snr_db, n_units, attacked, gamma, _MEASURE_TAG, trial)
-        alice[trial] = pilot_values(result.key_source_alice, config.ofdm)
-        bob[trial] = pilot_values(result.key_source_bob, config.ofdm)
-        gamma_mags[trial] = (
-            float(np.mean(np.abs(result.gamma_used))) if result.gamma_used is not None else math.nan
-        )
+    result = _run_block(config, scheme, snr_db, n_units, attacked, gamma, _MEASURE_TAG, config.trials)
+    alice = pilot_values(result.key_source_alice, config.ofdm)
+    bob = pilot_values(result.key_source_bob, config.ofdm)
 
     alice_flat = alice.ravel()
     bob_flat = bob.ravel()
@@ -201,7 +188,7 @@ def _run_cell(config, scheme, snr_db, n_units, attacked):
         # Same normalization as the empirical column: reference side power.
         ref_power = stats.g_b * (stats.b ** 2 * stats.s4_arb + stats.s4_ab) + analysis.NOISE_VAR
         mse_analytic = analysis.mse_prediction(analysis.gamma_analytic(stats), stats) / ref_power
-        gamma_mean = float(np.nanmean(gamma_mags))
+        gamma_mean = float(np.mean(np.abs(result.gamma_used)))
     else:
         mse_analytic = math.nan
         gamma_mean = math.nan

@@ -4,7 +4,9 @@ Estimate magnitudes are cut into four levels at the empirical quartiles of
 each party's own measurement block and encoded with the 2-bit Gray order
 00, 01, 11, 10, so neighbouring levels differ in exactly one bit and a
 boundary-adjacent measurement costs at most one bit error.  Quartile
-thresholds make quantization invariant to a common scale factor.
+thresholds make quantization invariant to a common scale factor.  A 2-D
+block of ``(trials, subcarriers)`` is quantized column by column, each
+column against its own thresholds.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .analysis import DegenerateSampleError
 
 #: Gray code of each quantization level, as constant bit pairs.
 GRAY2_CODES = ((0, 0), (0, 1), (1, 1), (1, 0))
@@ -64,36 +68,43 @@ class KeyMetrics:
             raise ValueError("key rates must be >= 0")
 
 
+def _increasing(thresholds: np.ndarray) -> bool:
+    return bool(np.all((thresholds[0] < thresholds[1]) & (thresholds[1] < thresholds[2])))
+
+
 def compute_thresholds(values) -> np.ndarray:
     """Empirical 25/50/75-percentile cut points of a magnitude block.
 
     Each party computes thresholds from its own block, which keeps the bit
     mapping invariant under a common positive scaling of the magnitudes.
     Percentiles use linear interpolation, so samples {1,2,3,4} give cut
-    points (1.75, 2.5, 3.25).
+    points (1.75, 2.5, 3.25).  A 2-D block gets a ``(3, columns)`` array,
+    the cut points of each column.
     """
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size < 4:
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if values.shape[0] < 4:
         raise ValueError("need at least 4 samples to place quartile thresholds")
-    thresholds = np.percentile(values, [25.0, 50.0, 75.0])
-    if not (thresholds[0] < thresholds[1] < thresholds[2]):
-        raise ValueError("degenerate sample block: quartile thresholds are not distinct")
+    thresholds = np.percentile(values, [25.0, 50.0, 75.0], axis=0)
+    if not _increasing(thresholds):
+        raise DegenerateSampleError("degenerate sample block: quartile thresholds are not distinct")
     return thresholds
 
 
 def quantize_gray2(values, thresholds) -> BitStream:
     """Quantize magnitudes into Gray-coded 2-bit words.
 
-    `thresholds` are the three strictly increasing level cut points; values
-    map to levels 0..3 and levels to the Gray codes 00, 01, 11, 10.
+    `thresholds` are the three strictly increasing level cut points (per
+    column for a 2-D block, as `compute_thresholds` gives them); values map
+    to levels 0..3 and levels to the Gray codes 00, 01, 11, 10.  Bits are
+    in row order, two per value.
     """
-    values = np.asarray(values, dtype=float).ravel()
-    thresholds = np.asarray(thresholds, dtype=float).ravel()
-    if thresholds.shape != (3,):
-        raise ValueError("exactly 3 thresholds required")
-    if not (thresholds[0] < thresholds[1] < thresholds[2]):
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    thresholds = np.asarray(thresholds, dtype=float)
+    if thresholds.shape != (3, *values.shape[1:]):
+        raise ValueError("exactly 3 thresholds required per column")
+    if not _increasing(thresholds):
         raise ValueError("thresholds must be strictly increasing")
-    levels = np.digitize(values, thresholds)
+    levels = np.sum(values >= thresholds[:, None], axis=0)
     codes = np.asarray(GRAY2_CODES, dtype=np.uint8)
     bits = codes[levels].ravel()
     return BitStream(bits, values.size)

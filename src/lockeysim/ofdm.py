@@ -4,21 +4,23 @@ Everything happens in the frequency domain.  The cyclic prefix (16 samples
 at the 960 kHz occupied bandwidth, i.e. 16.7 us) exceeds the bundled delay
 spreads, so each subcarrier sees a purely multiplicative channel and no
 time-domain convolution is simulated; the prefix length is kept in the
-config for fidelity only.
+config for fidelity only.  Every function also works on a batch of symbols,
+one trial per row along a leading axis.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._rng import Stream, as_rng
+from ._rng import Stream, as_rng, batch_shape
 from .fading import add_awgn
 
 #: A per-subcarrier complex channel estimate is represented as a plain
-#: complex ndarray of length ``OfdmConfig.symbol_length``.
+#: complex ndarray whose last axis has length ``OfdmConfig.symbol_length``.
 CsiVector = np.ndarray
 
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -62,14 +64,14 @@ class OfdmConfig:
         return np.arange(0, self.symbol_length, self.pilot_interval)
 
 
-def generate_pilot(config: OfdmConfig, stream: Stream) -> np.ndarray:
-    """Unit-magnitude QPSK pilot symbols, one per subcarrier.
+def generate_pilot(config: OfdmConfig, stream: Stream, trials: Optional[int] = None) -> np.ndarray:
+    """Unit-magnitude QPSK pilot symbols, one per subcarrier (and per trial).
 
     Both parties know the pilot, so the same stream id must be used for
     every probe of a round.
     """
     rng = as_rng(stream)
-    idx = rng.integers(0, 4, size=config.symbol_length)
+    idx = rng.integers(0, 4, size=batch_shape(trials, config.symbol_length))
     return _QPSK[idx]
 
 
@@ -97,7 +99,7 @@ def probe(
     direct = np.asarray(direct, dtype=complex)
     cascaded = np.asarray(cascaded, dtype=complex)
     fingerprint = np.asarray(fingerprint, dtype=complex)
-    if not (pilot.shape == direct.shape == cascaded.shape == fingerprint.shape):
+    if not (pilot.shape[-1:] == direct.shape[-1:] == cascaded.shape[-1:] == fingerprint.shape[-1:]):
         raise ValueError("pilot, direct, cascaded and fingerprint must share one length")
     clean = fingerprint * (direct + cascaded) * pilot
     return add_awgn(clean, snr_db, stream, ref_power=ref_power)
@@ -114,20 +116,33 @@ def ls_estimate(received, pilot, config: OfdmConfig) -> CsiVector:
     """
     received = np.asarray(received, dtype=complex)
     pilot = np.asarray(pilot, dtype=complex)
-    if received.shape != pilot.shape or received.shape != (config.symbol_length,):
+    if received.shape != pilot.shape or received.shape[-1:] != (config.symbol_length,):
         raise ValueError("received and pilot must have length symbol_length")
     if np.any(pilot == 0):
         raise ValueError("pilot symbols must be non-zero")
     positions = config.pilot_positions
-    at_pilots = received[positions] / pilot[positions]
+    at_pilots = received[..., positions] / pilot[..., positions]
     if positions.size == config.symbol_length:
         return at_pilots
+    return at_pilots @ _interpolation_weights(config)
+
+
+@functools.lru_cache(maxsize=16)
+def _interpolation_weights(config: OfdmConfig) -> np.ndarray:
+    """Read-only ``(pilots, symbol_length)`` linear-interpolation matrix.
+
+    Column k holds the weights of subcarrier k on its two neighbouring
+    pilots (a one-hot column at a pilot, the nearest pilot beyond the last
+    one), the same line ``np.interp`` draws.  Cached by value: it depends
+    only on the configuration.
+    """
+    positions = config.pilot_positions
     every = np.arange(config.symbol_length)
-    real = np.interp(every, positions, at_pilots.real)
-    imag = np.interp(every, positions, at_pilots.imag)
-    return real + 1j * imag
+    weights = np.array([np.interp(every, positions, unit) for unit in np.eye(positions.size)], dtype=complex)
+    weights.setflags(write=False)
+    return weights
 
 
 def pilot_values(csi: CsiVector, config: OfdmConfig) -> np.ndarray:
     """Extract the pilot-subcarrier entries of an estimate."""
-    return np.asarray(csi)[config.pilot_positions]
+    return np.asarray(csi)[..., config.pilot_positions]

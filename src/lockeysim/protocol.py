@@ -12,6 +12,10 @@ compensation of the third scheme targets.
 Within a slot the air channel is reciprocal: one fading realization per
 link is shared by both directions.  Between slots the realizations evolve
 under the configured Doppler.
+
+An environment drawn with ``trials=T`` holds T independent rounds along a
+leading array axis, and every function below runs all of them at once; an
+environment drawn without `trials` is one round with unbatched shapes.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ._rng import Stream, substream
+from .analysis import DegenerateSampleError
 from .fading import (
     FadingProcess,
     HardwareFingerprint,
@@ -66,13 +71,25 @@ class BandChannels:
     ris_bob: FadingProcess
 
 
+#: Links of a band, in the order of their stream indices.
+_BAND_LINKS = ("alice_bob", "alice_ris", "ris_bob")
+
+
 @dataclass(frozen=True, eq=False)
 class Environment:
-    """Everything one probing round needs, spanning both coherence slots."""
+    """Everything one probing round (or a block of `trials` rounds) needs,
+    spanning both coherence slots.
+
+    The fading is not stored: each link's realization is drawn from the
+    environment's stream when a slot (or `band1` / `band2`) reads it.  The
+    same stream always gives the same realization, and a batched round
+    holds the oscillator arrays of one link at a time.
+    """
 
     ofdm: OfdmConfig
-    band1: BandChannels
-    band2: BandChannels
+    profiles: dict
+    max_doppler_hz: float
+    stream: Stream
     fp_ab: HardwareFingerprint
     fp_ba: HardwareFingerprint
     n_units: int
@@ -81,6 +98,7 @@ class Environment:
     tau_s: float
     pilot: np.ndarray
     noise_ref: Optional[float] = 1.0
+    trials: Optional[int] = None
 
     def __post_init__(self):
         if self.n_units < 1:
@@ -89,6 +107,20 @@ class Environment:
             raise ValueError("jammer attacks more units than the surface has")
         if self.tau_s <= 0:
             raise ValueError("tau_s must be > 0")
+
+    def _link(self, index: int) -> FadingProcess:
+        """Fading of link ``_BAND_LINKS[index % 3]`` on band ``index // 3 + 1``,
+        drawn from stream index `index`."""
+        return make_fading_process(self.profiles[_BAND_LINKS[index % 3]], self.max_doppler_hz,
+                                   substream(self.stream, index), self.trials)
+
+    @property
+    def band1(self) -> BandChannels:
+        return BandChannels(*map(self._link, range(0, 3)))
+
+    @property
+    def band2(self) -> BandChannels:
+        return BandChannels(*map(self._link, range(3, 6)))
 
     @property
     def fp_ab_response(self) -> np.ndarray:
@@ -121,24 +153,22 @@ def build_environment(
     tau_s: float,
     stream: Stream,
     noise_ref: Optional[float] = 1.0,
+    trials: Optional[int] = None,
 ) -> Environment:
-    """Draw a fresh environment realization.
+    """Draw a fresh environment realization, or `trials` independent ones.
 
     `profiles` maps the keys ``alice_bob``, ``alice_ris``, ``ris_bob``,
     ``alice_hf`` and ``bob_hf`` to tap profiles.  The two bands get
-    independent fading realizations of the same profiles; the band carrier
+    independent fading realizations of the same profiles (stream indices
+    0-2 and 3-5, drawn when a round reads them); the band carrier
     frequencies only label which realization a probe uses.
     """
-    def process(key: str, idx: int) -> FadingProcess:
-        return make_fading_process(profiles[key], max_doppler_hz, substream(stream, idx))
-
-    band1 = BandChannels(process("alice_bob", 0), process("alice_ris", 1), process("ris_bob", 2))
-    band2 = BandChannels(process("alice_bob", 3), process("alice_ris", 4), process("ris_bob", 5))
-    pilot = generate_pilot(ofdm, substream(stream, 6))
+    pilot = generate_pilot(ofdm, substream(stream, 6), trials)
     return Environment(
         ofdm=ofdm,
-        band1=band1,
-        band2=band2,
+        profiles=profiles,
+        max_doppler_hz=max_doppler_hz,
+        stream=stream,
         fp_ab=HardwareFingerprint(profiles["alice_hf"], "a->b"),
         fp_ba=HardwareFingerprint(profiles["bob_hf"], "b->a"),
         n_units=n_units,
@@ -147,21 +177,21 @@ def build_environment(
         tau_s=tau_s,
         pilot=pilot,
         noise_ref=noise_ref,
+        trials=trials,
     )
 
 
-def _band_responses(env: Environment, band: BandChannels, time_s: float):
+def _band_responses(env: Environment, first_link: int, time_s: float):
+    """``(direct, h_ar, h_rb)`` of the band whose links start at stream index
+    `first_link`; each link's fading is dropped before the next is drawn."""
     freqs = env.ofdm.subcarrier_freqs
-    direct = frequency_response(band.alice_bob, time_s, freqs)
-    h_ar = frequency_response(band.alice_ris, time_s, freqs)
-    h_rb = frequency_response(band.ris_bob, time_s, freqs)
-    return direct, h_ar, h_rb
+    return tuple(frequency_response(env._link(i), time_s, freqs) for i in range(first_link, first_link + 3))
 
 
 def _slot_states(env: Environment, stream: Stream):
     """Surface configuration of a slot's first probe, and the (possibly
     jammed) configuration its second probe sees."""
-    first = random_ris_state(env.n_units, substream(stream, 0))
+    first = random_ris_state(env.n_units, substream(stream, 0), env.trials)
     second = apply_jamming(first, env.jammer, substream(stream, 1))
     return first, second
 
@@ -179,7 +209,7 @@ def measure_round(env: Environment, slot: int, stream: Stream, swap_roles: bool 
     label-swap symmetry of the protocol exactly.
     """
     time_s = slot * env.tau_s
-    direct, h_ar, h_rb = _band_responses(env, env.band1, time_s)
+    direct, h_ar, h_rb = _band_responses(env, 0, time_s)
     state_first, state_second = _slot_states(env, stream)
 
     def estimate(fp_resp, state, noise_idx):
@@ -210,7 +240,7 @@ def loopback_combine(first_round, env: Environment, slot: int, stream: Stream, s
     """
     h_a1, h_b1 = first_round
     time_s = slot * env.tau_s
-    direct, h_ar, h_rb = _band_responses(env, env.band2, time_s)
+    direct, h_ar, h_rb = _band_responses(env, 3, time_s)
     state_first, state_second = _slot_states(env, stream)
 
     def relay(carried, fp_resp, state, noise_idx):
@@ -248,36 +278,42 @@ def estimate_gamma(history_a, history_b, min_rounds: int = 200) -> np.ndarray:
         )
     denom = np.sum(np.abs(h_a) ** 2, axis=0)
     if np.any(denom == 0):
-        raise ValueError("degenerate history: a subcarrier has all-zero reference values")
+        raise DegenerateSampleError("degenerate history: a subcarrier has all-zero reference values")
     return np.sum(h_b * np.conj(h_a), axis=0) / denom
 
 
-def estimate_round_gamma(h_a, h_b, positions=None) -> complex:
+def estimate_round_gamma(h_a, h_b, positions=None):
     """Single prediction scalar fitted across one round's subcarriers.
 
     The surface aggregate is common to all subcarriers, so the mismatch an
     attacker injects into one round is mostly a common complex factor; a
     scalar least-squares fit across the round's pilot subcarriers absorbs
-    it without any training history.
+    it without any training history.  Rows of a batch (subcarriers along
+    the last axis) get one scalar each.
     """
-    h_a = np.asarray(h_a, dtype=complex).ravel()
-    h_b = np.asarray(h_b, dtype=complex).ravel()
+    h_a = np.asarray(h_a, dtype=complex)
+    h_b = np.asarray(h_b, dtype=complex)
     if h_a.shape != h_b.shape:
         raise ValueError("round sides differ in shape")
     if positions is not None:
-        h_a = h_a[positions]
-        h_b = h_b[positions]
-    denom = float(np.sum(np.abs(h_a) ** 2))
-    if denom == 0.0:
-        raise ValueError("degenerate round: all-zero reference values")
-    return complex(np.sum(h_b * np.conj(h_a)) / denom)
+        h_a = h_a[..., positions]
+        h_b = h_b[..., positions]
+    denom = np.sum(np.abs(h_a) ** 2, axis=-1)
+    if np.any(denom == 0.0):
+        raise DegenerateSampleError("degenerate round: all-zero reference values")
+    return np.sum(h_b * np.conj(h_a), axis=-1) / denom
 
 
 def apply_compensation(h_a, gamma) -> np.ndarray:
-    """Predicted peer estimate: elementwise ``gamma * h_a``."""
+    """Predicted peer estimate: elementwise ``gamma * h_a``.
+
+    `gamma` must broadcast to the shape of `h_a`: a scalar, a
+    per-subcarrier vector, or one scalar per round as a ``(trials, 1)``
+    column.
+    """
     h_a = np.asarray(h_a, dtype=complex)
     gamma = np.asarray(gamma, dtype=complex)
-    if gamma.ndim > 0 and gamma.shape != h_a.shape:
+    if np.broadcast(gamma, h_a).shape != h_a.shape:
         raise ValueError(f"gamma shape {gamma.shape} does not match estimate shape {h_a.shape}")
     return gamma * h_a
 
@@ -293,9 +329,10 @@ def run_round(
 
     `gamma` is required exactly when the scheme is the compensated one; it
     is either a per-subcarrier array (pre-trained), a scalar, or
-    ``GAMMA_PER_ROUND`` to fit the scalar from the round's own pilot
-    subcarriers.  Deterministic: identical environment, scheme and stream
-    produce bit-identical results.
+    ``GAMMA_PER_ROUND`` to fit the scalar from each round's own pilot
+    subcarriers.  A batched environment gives key sources of shape
+    ``(trials, symbol_length)``.  Deterministic: identical environment,
+    scheme and stream produce bit-identical results.
     """
     if isinstance(scheme, str):
         scheme = Scheme.parse(scheme)
@@ -314,7 +351,7 @@ def run_round(
     if isinstance(gamma, str):
         if gamma != GAMMA_PER_ROUND:
             raise ValueError(f"unknown gamma policy {gamma!r}")
-        gamma_value = estimate_round_gamma(h_a, h_b, env.ofdm.pilot_positions)
+        gamma_value = estimate_round_gamma(h_a, h_b, env.ofdm.pilot_positions)[..., None]
     else:
         gamma_value = gamma
     predicted = apply_compensation(h_a, gamma_value)

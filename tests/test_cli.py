@@ -40,6 +40,14 @@ class TestSimulate:
         ]) == 0
         assert ",4" in out.read_text().splitlines()[1]
 
+    def test_invalid_override_rejected_before_running(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        for flag, value, key in (("--trials", "2", "harness.trials"), ("--trials", "0", "harness.trials"),
+                                 ("--jobs", "0", "harness.jobs"), ("--seed", "-1", "harness.master_seed")):
+            assert main(["simulate", "--preset", "fig5b", "--output", str(out), flag, value]) == 2
+            assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path):
         config = tmp_path / "bad.yaml"
         config.write_text("nonsense.key: 1\n")

@@ -6,6 +6,7 @@ from lockeysim.fading import (
     ALICE_RIS_PROFILE,
     BOB_HF_PROFILE,
     ALICE_BOB_PROFILE,
+    FadingProcess,
     HardwareFingerprint,
     TapProfile,
     add_awgn,
@@ -87,6 +88,17 @@ class TestFadingProcess:
     def test_doppler_moves_the_gains(self):
         process = make_fading_process(ALICE_BOB_PROFILE, 5.0, (3,))
         assert not np.allclose(process.gains(0.0), process.gains(0.05))
+
+    def test_batched_realizations_are_independent_rows(self):
+        process = make_fading_process(ALICE_RIS_PROFILE, 5.0, (9,), trials=4000)
+        gains = process.gains(0.37)
+        assert gains.shape == (4000, ALICE_RIS_PROFILE.n_taps)
+        measured_db = 10.0 * np.log10(np.mean(np.abs(gains) ** 2, axis=0))
+        np.testing.assert_allclose(measured_db, ALICE_RIS_PROFILE.powers_db, atol=0.5)
+        freqs = np.arange(64) * 15e3
+        response = frequency_response(process, 0.37, freqs)
+        row = FadingProcess(ALICE_RIS_PROFILE, 5.0, process._amplitudes, process._rates[7], process._phases[7])
+        np.testing.assert_allclose(response[7], frequency_response(row, 0.37, freqs), rtol=1e-12)
 
     def test_rejects_negative_time(self):
         process = make_fading_process(ALICE_BOB_PROFILE, 5.0, (3,))
@@ -177,6 +189,14 @@ class TestAddAwgn:
             np.sqrt(np.mean(np.abs(n1) ** 2)) * np.sqrt(np.mean(np.abs(n2) ** 2))
         )
         assert abs(rho) < 0.01
+
+    def test_measured_reference_is_per_row(self):
+        # a batch of probes: each row's noise follows that row's own power
+        n = 100_000
+        signal = np.stack([np.ones(n, dtype=complex), 10.0 * np.ones(n, dtype=complex)])
+        noisy = add_awgn(signal, 0.0, (57,), ref_power=None)
+        variances = np.mean(np.abs(noisy - signal) ** 2, axis=-1)
+        np.testing.assert_allclose(variances, [1.0, 100.0], rtol=0.02)
 
     def test_rejects_nan_snr(self):
         with pytest.raises(ValueError):

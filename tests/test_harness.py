@@ -90,6 +90,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="alice_bob"):
             build_config({"channel.alice_bob.powers_db": [0.0]})
 
+    @pytest.mark.parametrize("trials", [0, 2, 3])
+    def test_fewer_than_four_trials_rejected(self, trials):
+        with pytest.raises(ConfigError, match="harness.trials"):
+            build_config({"harness.trials": trials})
+
+    @pytest.mark.parametrize("snr_db", [-4000.0, 4000.0])
+    def test_snr_beyond_representable_noise_rejected(self, snr_db):
+        with pytest.raises(ConfigError, match="harness.snr_grid_db"):
+            build_config({"harness.snr_grid_db": [10.0, snr_db]})
+
+    def test_overrides_validated_like_file_keys(self, tmp_path):
+        path = tmp_path / "one.yaml"
+        path.write_text("harness.trials: 50\n")
+        assert load_config(str(path), {"harness.trials": 9}).trials == 9
+        with pytest.raises(ConfigError, match="harness.master_seed"):
+            load_config(str(path), {"harness.master_seed": -1})
+
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("ris.n_units: [unclosed\n")
@@ -132,6 +149,29 @@ class TestSweep:
             a.rho_empirical != b.rho_empirical for a, b in zip(base, other)
         )
 
+    def test_generator_constructions_do_not_grow_with_trials(self, monkeypatch):
+        # every cell draws its trials (and its training window) as one block
+        # from a fixed set of streams
+        from lockeysim import _rng, analysis, fading, ofdm, ris
+
+        original = _rng.as_rng
+        built = []
+
+        def counting(stream):
+            built.append(stream)
+            return original(stream)
+
+        for module in (_rng, analysis, fading, ofdm, ris):
+            monkeypatch.setattr(module, "as_rng", counting)
+        counts = []
+        for trials in (8, 64):
+            built.clear()
+            config = tiny_config(**{"harness.trials": trials, "protocol.gamma_mode": "window"})
+            for scheme in Scheme:
+                assert not run_cell(config, scheme, 10.0, 30, 5).flag
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0
+
     def test_cell_ordering(self):
         config = tiny_config()
         cells = sweep_cells(config)
@@ -152,6 +192,29 @@ class TestMetricsColumns:
         assert math.isnan(lockey.rho_analytic)
         assert not math.isnan(lockey.mse_analytic)
         assert all(not r.flag for r in (non, lofi, lockey))
+
+    def test_degenerate_block_flags_the_row(self, monkeypatch):
+        from lockeysim import harness
+        from lockeysim.analysis import DegenerateSampleError
+
+        def degenerate(values):
+            raise DegenerateSampleError("degenerate sample block: quartile thresholds are not distinct")
+
+        monkeypatch.setattr(harness.keygen, "compute_thresholds", degenerate)
+        row = run_cell(tiny_config(), Scheme.LOOPBACK, 10.0, 30, 5)
+        assert row.flag.startswith("error: degenerate")
+        assert math.isnan(row.rho_empirical)
+
+    def test_program_error_propagates(self, monkeypatch):
+        # a shape fault in the kernel is not a property of the drawn data
+        from lockeysim import harness
+
+        def misshapen(values):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(harness.keygen, "compute_thresholds", misshapen)
+        with pytest.raises(ValueError, match="broadcast"):
+            run_cell(tiny_config(), Scheme.LOOPBACK, 10.0, 30, 5)
 
     def test_model_stats_scale_with_snr(self):
         config = tiny_config()

@@ -23,6 +23,27 @@ class TestThresholds:
         with pytest.raises(ValueError, match="degenerate"):
             compute_thresholds(np.ones(100))
 
+    def test_block_columns_match_column_loop(self):
+        # a (trials, subcarriers) block quantizes each column on its own,
+        # bit-identical to quantizing the columns one at a time
+        rng = np.random.default_rng(6)
+        for trials in (4, 5, 50, 1000):
+            block = rng.rayleigh(size=(trials, 13)) * rng.uniform(0.1, 10.0, size=13)
+            thresholds = compute_thresholds(block)
+            assert thresholds.shape == (3, 13)
+            bits = quantize_gray2(block, thresholds).bits.reshape(trials, 13, 2)
+            for j in range(13):
+                column = block[:, j]
+                np.testing.assert_array_equal(thresholds[:, j], compute_thresholds(column))
+                expected = quantize_gray2(column, compute_thresholds(column)).bits
+                np.testing.assert_array_equal(bits[:, j, :].ravel(), expected)
+
+    def test_rejects_block_with_one_constant_column(self):
+        block = np.random.default_rng(7).rayleigh(size=(100, 4))
+        block[:, 2] = 1.0
+        with pytest.raises(ValueError, match="degenerate"):
+            compute_thresholds(block)
+
     def test_rejects_tiny_block(self):
         with pytest.raises(ValueError):
             compute_thresholds([1.0, 2.0, 3.0])

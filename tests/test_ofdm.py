@@ -147,6 +147,22 @@ class TestLsEstimate:
             count += err.size
         assert total / count == pytest.approx(1.0, rel=0.05)
 
+    def test_batch_matches_per_row_interpolation(self, config):
+        # the cached interpolation weights reproduce np.interp row by row
+        rng = np.random.default_rng(5)
+        pilot = generate_pilot(config, (21,), trials=6)
+        h = rng.standard_normal((6, 64)) + 1j * rng.standard_normal((6, 64))
+        y = probe(pilot, h, np.zeros(64), np.ones(64), None, (22,))
+        estimate = ls_estimate(y, pilot, config)
+        positions = config.pilot_positions
+        for row in range(6):
+            at_pilots = y[row, positions] / pilot[row, positions]
+            every = np.arange(64)
+            expected = np.interp(every, positions, at_pilots.real) + 1j * np.interp(
+                every, positions, at_pilots.imag)
+            np.testing.assert_allclose(estimate[row], expected, rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(pilot_values(estimate, config)[row], at_pilots)
+
     def test_rejects_wrong_length(self, config):
         with pytest.raises(ValueError):
             ls_estimate(np.ones(32), np.ones(32), config)

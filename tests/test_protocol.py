@@ -21,7 +21,7 @@ from lockeysim.protocol import (
 CFG = build_config({})
 
 
-def make_env(attacked=0, snr_db=None, doppler=0.0, n_units=30, stream=(1,), profiles=None):
+def make_env(attacked=0, snr_db=None, doppler=0.0, n_units=30, stream=(1,), profiles=None, trials=None):
     return build_environment(
         CFG.ofdm,
         profiles or CFG.profiles,
@@ -31,6 +31,7 @@ def make_env(attacked=0, snr_db=None, doppler=0.0, n_units=30, stream=(1,), prof
         snr_db,
         CFG.tau_s,
         stream,
+        trials=trials,
     )
 
 
@@ -254,6 +255,20 @@ class TestRunRound:
             np.concatenate([a for a, _ in locked]), np.concatenate([b for _, b in locked])))
         assert rho_locked > rho_plain
 
+    def test_batched_round_gamma_is_fitted_per_row(self):
+        # 64 trials: the per-round scalars have the length of a subcarrier
+        # vector, so only their (trials, 1) shape keeps them per row
+        env = make_env(attacked=5, snr_db=20.0, doppler=5.0, trials=64)
+        plain = run_round(Scheme.LOOPBACK, env, None, (22,))
+        locked = run_round(Scheme.LOCKEY, env, GAMMA_PER_ROUND, (22,))
+        positions = env.ofdm.pilot_positions
+        for row in (0, 63):
+            gamma = estimate_round_gamma(
+                plain.key_source_alice[row], plain.key_source_bob[row], positions)
+            np.testing.assert_allclose(locked.gamma_used[row], gamma, rtol=1e-12)
+            np.testing.assert_allclose(
+                locked.key_source_alice[row], gamma * plain.key_source_alice[row], rtol=1e-12)
+
     def test_gamma_used_recorded_for_lockey_only(self):
         env = make_env(attacked=5, snr_db=20.0)
         assert run_round(Scheme.LOOPBACK, env, None, (16,)).gamma_used is None
@@ -297,6 +312,15 @@ class TestLabelSwapSymmetry:
         swapped = run_round(Scheme.LOOPBACK, swapped_environment(env), None, (18,), swap_roles=True)
         np.testing.assert_array_equal(swapped.key_source_alice, normal.key_source_bob)
         np.testing.assert_array_equal(swapped.key_source_bob, normal.key_source_alice)
+
+    def test_batched_round_swaps_exactly(self):
+        env = make_env(attacked=5, snr_db=10.0, doppler=5.0, trials=16)
+        for scheme in (Scheme.NON_LOOPBACK, Scheme.LOOPBACK):
+            normal = run_round(scheme, env, None, (20,))
+            swapped = run_round(scheme, swapped_environment(env), None, (20,), swap_roles=True)
+            assert normal.key_source_alice.shape == (16, 64)
+            np.testing.assert_array_equal(swapped.key_source_alice, normal.key_source_bob)
+            np.testing.assert_array_equal(swapped.key_source_bob, normal.key_source_alice)
 
     def test_lockey_swap_compensates_the_swapped_side(self):
         env = make_env(attacked=5, snr_db=10.0, doppler=5.0)

@@ -83,6 +83,15 @@ class TestApplyJamming:
         assert np.count_nonzero(jammed.phases != state.phases) == 20
         np.testing.assert_array_equal(jammed.on_off, state.on_off)
 
+    def test_batched_rows_each_lose_exactly_k(self):
+        state = random_ris_state(30, (21,), trials=50)
+        jammed = apply_jamming(state, JammerConfig(7), (22,))
+        assert jammed.phases.shape == (50, 30)
+        np.testing.assert_array_equal(np.count_nonzero(jammed.phases != state.phases, axis=1), 7)
+        np.testing.assert_allclose(
+            aggregate_phase(jammed), np.sum(np.exp(1j * jammed.phases), axis=1)
+        )
+
     def test_rejects_too_many_attacked(self):
         state = random_ris_state(30, (14,))
         with pytest.raises(ValueError):

@@ -34,7 +34,7 @@ from .fading import (
 )
 from .harness import ResultRow, emit_csv, preset_config, run_cell, run_sweep
 from .keygen import BitStream, KeyMetrics, compute_thresholds, csk, kdr, quantize_gray2
-from .ofdm import CsiVector, OfdmConfig, generate_pilot, ls_estimate, pilot_values, probe
+from .ofdm import OfdmConfig, generate_pilot, ls_estimate, pilot_values, probe
 from .protocol import (
     GAMMA_PER_ROUND,
     Environment,

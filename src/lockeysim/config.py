@@ -30,21 +30,14 @@ _LINK_KEYS = ("alice_bob", "alice_ris", "ris_bob", "alice_hf", "bob_hf")
 DEFAULTS = {
     "ofdm.symbol_length": 64,
     "ofdm.subcarrier_spacing_khz": 15.0,
-    "ofdm.bandwidth_mhz": 20.0,
-    "ofdm.carrier_band1_ghz": 1.82,
-    "ofdm.carrier_band2_ghz": 1.84,
-    "ofdm.cp_length": 16,
     "ofdm.pilot_interval": 5,
     "ofdm.noise_ref": "link",            # link | pilot | measured | number
     "ris.n_units": 30,
     "ris.attacked_units": 5,
     "fading.max_doppler_hz": 5.0,
-    "protocol.scheme": "lockey",
     "protocol.gamma_mode": "round",      # round | window
     "protocol.gamma_window": 200,
-    "protocol.coherence_slots": 2,
     "protocol.tau_ms": 1.0,
-    "keygen.quantizer": "gray2",
     "keygen.metric": "both",             # bit_rate | information | both
     "harness.snr_grid_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
     "harness.trials": 1000,
@@ -61,14 +54,18 @@ DEFAULTS = {
 MAX_SNR_DB = 300.0
 
 for _link in _LINK_KEYS:
-    DEFAULTS[f"channel.{_link}.delays_ms"] = None   # None: bundled profile
-    DEFAULTS[f"channel.{_link}.delays_us"] = None
+    DEFAULTS[f"channel.{_link}.delays_us"] = None   # None: bundled profile
     DEFAULTS[f"channel.{_link}.powers_db"] = None
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated experiment description."""
+    """Fully validated experiment description.
+
+    The rules that tie fields together are checked here, so a configuration
+    built from a file, from `with_overrides` or from a preset obeys them;
+    a violation raises `ConfigError` naming the dotted key.
+    """
 
     ofdm: OfdmConfig
     noise_ref_mode: str
@@ -76,12 +73,9 @@ class ExperimentConfig:
     attacked_units: int
     max_doppler_hz: float
     profiles: dict
-    scheme: Scheme
     gamma_mode: str
     gamma_window: int
-    coherence_slots: int
     tau_s: float
-    quantizer: str
     metric: str
     snr_grid_db: tuple
     trials: int
@@ -90,6 +84,22 @@ class ExperimentConfig:
     attacked_grid: tuple
     master_seed: int
     jobs: int
+
+    def __post_init__(self):
+        if self.attacked_units > self.n_units:
+            raise ConfigError(
+                f"ris.attacked_units ({self.attacked_units}) exceeds ris.n_units ({self.n_units})"
+            )
+        if max(self.attacked_grid) > min(self.n_units_grid):
+            raise ConfigError(
+                f"harness.attacked_grid (max {max(self.attacked_grid)}) exceeds "
+                f"harness.n_units_grid (min {min(self.n_units_grid)}); every sweep cell "
+                "needs attacked units <= surface units"
+            )
+        # four samples per subcarrier column are the fewest the quartile
+        # quantizer can place its thresholds in
+        if self.trials < 4:
+            raise ConfigError(f"harness.trials: must be >= 4, got {self.trials}")
 
     @property
     def noise_ref(self) -> Optional[float]:
@@ -164,23 +174,17 @@ def _require_list(raw, key):
 
 
 def _profile_for(link, values, defaults=DEFAULT_PROFILES):
-    delays_ms = values.get(f"channel.{link}.delays_ms")
-    delays_us = values.get(f"channel.{link}.delays_us")
-    powers = values.get(f"channel.{link}.powers_db")
-    if delays_ms is None and delays_us is None and powers is None:
+    delays_us = values[f"channel.{link}.delays_us"]
+    powers = values[f"channel.{link}.powers_db"]
+    if delays_us is None and powers is None:
         return defaults[link]
-    if delays_ms is not None and delays_us is not None:
+    if delays_us is None or powers is None:
         raise ConfigError(
-            f"channel.{link}: give either delays_ms or delays_us, not both"
+            f"channel.{link}: a custom profile needs both delays_us and powers_db"
         )
-    if powers is None or (delays_ms is None and delays_us is None):
-        raise ConfigError(
-            f"channel.{link}: a custom profile needs both a delay list and powers_db"
-        )
-    delays = delays_ms if delays_ms is not None else [d * 1e-3 for d in delays_us]
     try:
-        return TapProfile(tuple(delays), tuple(powers))
-    except ValueError as exc:
+        return TapProfile(tuple(d * 1e-3 for d in delays_us), tuple(powers))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"channel.{link}: {exc}") from exc
 
 
@@ -192,23 +196,12 @@ def build_config(overrides: Optional[dict] = None) -> ExperimentConfig:
         raise ConfigError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
     values.update(overrides or {})
 
-    try:
-        ofdm = OfdmConfig(
-            symbol_length=_require_int(values["ofdm.symbol_length"], "ofdm.symbol_length", 1),
-            subcarrier_spacing_hz=_require_number(
-                values["ofdm.subcarrier_spacing_khz"], "ofdm.subcarrier_spacing_khz", 0.0) * 1e3,
-            bandwidth_hz=_require_number(values["ofdm.bandwidth_mhz"], "ofdm.bandwidth_mhz", 0.0) * 1e6,
-            carrier_band1_hz=_require_number(
-                values["ofdm.carrier_band1_ghz"], "ofdm.carrier_band1_ghz", 0.0) * 1e9,
-            carrier_band2_hz=_require_number(
-                values["ofdm.carrier_band2_ghz"], "ofdm.carrier_band2_ghz", 0.0) * 1e9,
-            cp_length=_require_int(values["ofdm.cp_length"], "ofdm.cp_length", 0),
-            pilot_interval=_require_int(values["ofdm.pilot_interval"], "ofdm.pilot_interval", 1),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"ofdm: {exc}") from exc
+    ofdm = OfdmConfig(
+        symbol_length=_require_int(values["ofdm.symbol_length"], "ofdm.symbol_length", 1),
+        subcarrier_spacing_hz=_require_number(
+            values["ofdm.subcarrier_spacing_khz"], "ofdm.subcarrier_spacing_khz", 0.0) * 1e3,
+        pilot_interval=_require_int(values["ofdm.pilot_interval"], "ofdm.pilot_interval", 1),
+    )
 
     noise_ref_raw = values["ofdm.noise_ref"]
     if isinstance(noise_ref_raw, (int, float)) and not isinstance(noise_ref_raw, bool):
@@ -223,28 +216,21 @@ def build_config(overrides: Optional[dict] = None) -> ExperimentConfig:
 
     profiles = {link: _profile_for(link, values) for link in _LINK_KEYS}
 
-    scheme = Scheme.parse(_require_choice(
-        values["protocol.scheme"], "protocol.scheme",
-        {s.value for s in Scheme}))
     gamma_mode = _require_choice(values["protocol.gamma_mode"], "protocol.gamma_mode", {"round", "window"})
     gamma_window = _require_int(values["protocol.gamma_window"], "protocol.gamma_window", 1)
-    coherence_slots = _require_int(values["protocol.coherence_slots"], "protocol.coherence_slots", 2)
     tau_s = _require_number(values["protocol.tau_ms"], "protocol.tau_ms", 0.0) * 1e-3
     if tau_s <= 0:
         raise ConfigError("protocol.tau_ms: must be > 0")
 
-    quantizer = _require_choice(values["keygen.quantizer"], "keygen.quantizer", {"gray2"})
     metric = _require_choice(values["keygen.metric"], "keygen.metric", {"bit_rate", "information", "both"})
 
     snr_grid = tuple(
         _require_number(v, "harness.snr_grid_db", -MAX_SNR_DB, MAX_SNR_DB)
         for v in _require_list(values["harness.snr_grid_db"], "harness.snr_grid_db")
     )
-    # four samples per subcarrier column are the fewest the quartile
-    # quantizer can place its thresholds in
-    trials = _require_int(values["harness.trials"], "harness.trials", 4)
+    trials = _require_int(values["harness.trials"], "harness.trials")
     schemes = tuple(
-        Scheme.parse(_require_choice(v, "harness.schemes", {s.value for s in Scheme}))
+        Scheme(_require_choice(v, "harness.schemes", {s.value for s in Scheme}))
         for v in _require_list(values["harness.schemes"], "harness.schemes")
     )
     n_grid_raw = values["harness.n_units_grid"]
@@ -260,17 +246,6 @@ def build_config(overrides: Optional[dict] = None) -> ExperimentConfig:
     master_seed = _require_int(values["harness.master_seed"], "harness.master_seed", 0)
     jobs = _require_int(values["harness.jobs"], "harness.jobs", 1)
 
-    if attacked > n_units:
-        raise ConfigError(
-            f"ris.attacked_units ({attacked}) exceeds ris.n_units ({n_units})"
-        )
-    if max(attacked_grid) > min(n_units_grid):
-        raise ConfigError(
-            f"harness.attacked_grid (max {max(attacked_grid)}) exceeds "
-            f"harness.n_units_grid (min {min(n_units_grid)}); every sweep cell "
-            "needs attacked units <= surface units"
-        )
-
     return ExperimentConfig(
         ofdm=ofdm,
         noise_ref_mode=noise_ref_mode,
@@ -278,12 +253,9 @@ def build_config(overrides: Optional[dict] = None) -> ExperimentConfig:
         attacked_units=attacked,
         max_doppler_hz=_require_number(values["fading.max_doppler_hz"], "fading.max_doppler_hz", 0.0),
         profiles=profiles,
-        scheme=scheme,
         gamma_mode=gamma_mode,
         gamma_window=gamma_window,
-        coherence_slots=coherence_slots,
         tau_s=tau_s,
-        quantizer=quantizer,
         metric=metric,
         snr_grid_db=snr_grid,
         trials=trials,

@@ -264,47 +264,30 @@ def emit_csv(rows, path: str) -> None:
 # Sweep presets for the six standard experiment panels.
 # ---------------------------------------------------------------------------
 
+#: The distinct sweeps of the panels, as `ExperimentConfig` field values.
+_PRESETS = {
+    # correlation, key rate and disagreement of the three schemes at a fixed
+    # attack level (panels a, c and f)
+    "fig5a": {"schemes": tuple(Scheme), "attacked_grid": (5,)},
+    # prediction error and key rate of the compensated scheme by attack
+    # level (panels b and e)
+    "fig5b": {"schemes": (Scheme.LOCKEY,), "attacked_grid": (2, 10, 20)},
+    # key rate of the compensated scheme by surface size
+    "fig5d": {"schemes": (Scheme.LOCKEY,), "n_units_grid": (10, 20, 30), "attacked_grid": (5,)},
+    # sweep axes straight from the config
+    "custom": {},
+}
 
-def _preset_overrides(name: str) -> dict:
-    all_schemes = ["non_loopback", "loopback", "lockey"]
-    presets = {
-        # correlation of the three schemes at a fixed attack level
-        "fig5a": {"harness.schemes": all_schemes, "harness.attacked_grid": [5]},
-        # prediction error of the compensated scheme by attack level
-        "fig5b": {"harness.schemes": ["lockey"], "harness.attacked_grid": [2, 10, 20]},
-        # key rate of the three schemes at a fixed attack level
-        "fig5c": {"harness.schemes": all_schemes, "harness.attacked_grid": [5]},
-        # key rate of the compensated scheme by surface size
-        "fig5d": {
-            "harness.schemes": ["lockey"],
-            "harness.n_units_grid": [10, 20, 30],
-            "harness.attacked_grid": [5],
-        },
-        # key rate of the compensated scheme by attack level
-        "fig5e": {"harness.schemes": ["lockey"], "harness.attacked_grid": [2, 10, 20]},
-        # key disagreement of the three schemes at a fixed attack level
-        "fig5f": {"harness.schemes": all_schemes, "harness.attacked_grid": [5]},
-        "custom": {},
-    }
-    if name not in presets:
-        raise ValueError(f"unknown preset {name!r}; expected one of {sorted(presets)}")
-    return presets[name]
+#: Panels that plot another column of an already listed sweep.
+_PRESET_ALIASES = {"fig5c": "fig5a", "fig5e": "fig5b", "fig5f": "fig5a"}
 
-
-PRESET_NAMES = ("fig5a", "fig5b", "fig5c", "fig5d", "fig5e", "fig5f", "custom")
+PRESET_NAMES = tuple(sorted({*_PRESETS, *_PRESET_ALIASES}))
 
 
 def preset_config(name: str, base: Optional[ExperimentConfig] = None) -> ExperimentConfig:
-    """Configuration of a named sweep preset, layered over `base`."""
-    overrides = _preset_overrides(name)
-    if base is None:
-        return build_config(overrides)
-    config = base
-    if "harness.schemes" in overrides:
-        config = config.with_overrides(
-            schemes=tuple(Scheme.parse(s) for s in overrides["harness.schemes"]))
-    if "harness.n_units_grid" in overrides:
-        config = config.with_overrides(n_units_grid=tuple(overrides["harness.n_units_grid"]))
-    if "harness.attacked_grid" in overrides:
-        config = config.with_overrides(attacked_grid=tuple(overrides["harness.attacked_grid"]))
-    return config
+    """Configuration of a named sweep preset, layered over `base` (the
+    defaults if None) and validated like any other configuration."""
+    preset = _PRESET_ALIASES.get(name, name)
+    if preset not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; expected one of {list(PRESET_NAMES)}")
+    return (build_config() if base is None else base).with_overrides(**_PRESETS[preset])

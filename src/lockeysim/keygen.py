@@ -58,7 +58,6 @@ class KeyMetrics:
     csk_bit_rate: float
     csk_information: float
     kdr: float
-    samples_used: int
     information_capped: bool = False
 
     def __post_init__(self):
@@ -147,4 +146,4 @@ def csk(rho_hat: float, bits_a, bits_b, subcarriers_used: int) -> KeyMetrics:
         information = min(-math.log2(1.0 - rho_mag ** 2), INFO_RATE_CAP)
         capped = information >= INFO_RATE_CAP
     disagreement = kdr(a, b)
-    return KeyMetrics(bit_rate, information, disagreement, subcarriers_used, capped)
+    return KeyMetrics(bit_rate, information, disagreement, capped)

@@ -3,9 +3,8 @@
 Everything happens in the frequency domain.  The cyclic prefix (16 samples
 at the 960 kHz occupied bandwidth, i.e. 16.7 us) exceeds the bundled delay
 spreads, so each subcarrier sees a purely multiplicative channel and no
-time-domain convolution is simulated; the prefix length is kept in the
-config for fidelity only.  Every function also works on a batch of symbols,
-one trial per row along a leading axis.
+time-domain convolution is simulated.  Every function also works on a batch
+of symbols, one trial per row along a leading axis.
 """
 
 from __future__ import annotations
@@ -19,10 +18,6 @@ import numpy as np
 from ._rng import Stream, as_rng, batch_shape
 from .fading import add_awgn
 
-#: A per-subcarrier complex channel estimate is represented as a plain
-#: complex ndarray whose last axis has length ``OfdmConfig.symbol_length``.
-CsiVector = np.ndarray
-
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 
@@ -32,22 +27,13 @@ class OfdmConfig:
 
     symbol_length: int = 64
     subcarrier_spacing_hz: float = 15e3
-    bandwidth_hz: float = 20e6
-    carrier_band1_hz: float = 1.82e9
-    carrier_band2_hz: float = 1.84e9
-    modulation: str = "qpsk"
-    cp_length: int = 16
     pilot_interval: int = 5
 
     def __post_init__(self):
         if self.symbol_length < 1:
             raise ValueError("symbol_length must be >= 1")
-        if self.cp_length >= self.symbol_length:
-            raise ValueError("cp_length must be smaller than symbol_length")
         if self.pilot_interval < 1:
             raise ValueError("pilot_interval must be >= 1")
-        if self.modulation.lower() != "qpsk":
-            raise ValueError(f"unsupported modulation {self.modulation!r}")
 
     @property
     def subcarrier_freqs(self) -> np.ndarray:
@@ -105,7 +91,7 @@ def probe(
     return add_awgn(clean, snr_db, stream, ref_power=ref_power)
 
 
-def ls_estimate(received, pilot, config: OfdmConfig) -> CsiVector:
+def ls_estimate(received, pilot, config: OfdmConfig) -> np.ndarray:
     """Least-squares channel estimate from one received probe.
 
     At pilot subcarriers the estimate is ``received / pilot``.  The
@@ -143,6 +129,6 @@ def _interpolation_weights(config: OfdmConfig) -> np.ndarray:
     return weights
 
 
-def pilot_values(csi: CsiVector, config: OfdmConfig) -> np.ndarray:
+def pilot_values(csi: np.ndarray, config: OfdmConfig) -> np.ndarray:
     """Extract the pilot-subcarrier entries of an estimate."""
     return np.asarray(csi)[..., config.pilot_positions]

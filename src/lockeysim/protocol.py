@@ -21,7 +21,7 @@ environment drawn without `trials` is one round with unbatched shapes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -35,7 +35,7 @@ from .fading import (
     frequency_response,
     make_fading_process,
 )
-from .ofdm import CsiVector, OfdmConfig, generate_pilot, ls_estimate, probe
+from .ofdm import OfdmConfig, generate_pilot, ls_estimate, probe
 from .ris import JammerConfig, apply_jamming, cascaded_gain, random_ris_state
 
 
@@ -45,14 +45,6 @@ class Scheme(enum.Enum):
     NON_LOOPBACK = "non_loopback"
     LOOPBACK = "loopback"
     LOCKEY = "lockey"
-
-    @classmethod
-    def parse(cls, name: str) -> "Scheme":
-        for scheme in cls:
-            if scheme.value == name:
-                return scheme
-        valid = ", ".join(s.value for s in cls)
-        raise ValueError(f"unknown scheme {name!r}; expected one of: {valid}")
 
 
 #: Sentinel for the prediction scalar fitted from the round's own
@@ -136,11 +128,9 @@ class RoundResult:
     """Paired key-source estimates produced by one round of one scheme."""
 
     scheme: Scheme
-    key_source_alice: CsiVector
-    key_source_bob: CsiVector
+    key_source_alice: np.ndarray
+    key_source_bob: np.ndarray
     gamma_used: Optional[np.ndarray]
-    slot_t: int
-    slot_tau: Optional[int]
 
 
 def build_environment(
@@ -334,19 +324,18 @@ def run_round(
     ``(trials, symbol_length)``.  Deterministic: identical environment,
     scheme and stream produce bit-identical results.
     """
-    if isinstance(scheme, str):
-        scheme = Scheme.parse(scheme)
+    scheme = Scheme(scheme)
     if scheme is Scheme.LOCKEY and gamma is None:
         raise ValueError("the compensated scheme requires a gamma (array, scalar, or GAMMA_PER_ROUND)")
 
     first = measure_round(env, 0, substream(stream, 0), swap_roles=swap_roles)
     if scheme is Scheme.NON_LOOPBACK:
         h_a1, h_b1 = first
-        return RoundResult(scheme, h_a1, h_b1, None, 0, None)
+        return RoundResult(scheme, h_a1, h_b1, None)
 
     h_a, h_b = loopback_combine(first, env, 1, substream(stream, 1), swap_roles=swap_roles)
     if scheme is Scheme.LOOPBACK:
-        return RoundResult(scheme, h_a, h_b, None, 0, 1)
+        return RoundResult(scheme, h_a, h_b, None)
 
     if isinstance(gamma, str):
         if gamma != GAMMA_PER_ROUND:
@@ -356,9 +345,4 @@ def run_round(
         gamma_value = gamma
     predicted = apply_compensation(h_a, gamma_value)
     gamma_used = np.broadcast_to(np.asarray(gamma_value, dtype=complex), h_a.shape).copy()
-    return RoundResult(scheme, predicted, h_b, gamma_used, 0, 1)
-
-
-def swapped_environment(env: Environment) -> Environment:
-    """The environment with the two parties' direction filters exchanged."""
-    return replace(env, fp_ab=env.fp_ba, fp_ba=env.fp_ab)
+    return RoundResult(scheme, predicted, h_b, gamma_used)

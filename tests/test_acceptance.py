@@ -21,7 +21,7 @@ import pytest
 
 from lockeysim import analysis, keygen
 from lockeysim.config import build_config
-from lockeysim.harness import emit_csv, preset_config, run_sweep
+from lockeysim.harness import emit_csv, preset_config, run_sweep, sweep_cells
 from lockeysim.protocol import (
     GAMMA_PER_ROUND,
     JammerConfig,
@@ -38,13 +38,14 @@ _sweep_cache = {}
 
 
 def _sweep(preset: str, jobs: int):
-    """Sweep rows of a preset at the acceptance settings, cached per run."""
-    key = (preset, jobs)
+    """Sweep rows of a preset at the acceptance settings, cached per run by
+    the cell grid, so panels that share a sweep compute it once."""
+    config = preset_config(preset, base=build_config({
+        "harness.trials": TRIALS,
+        "harness.snr_grid_db": list(SNR_GRID),
+    }))
+    key = (tuple(sweep_cells(config)), jobs)
     if key not in _sweep_cache:
-        config = preset_config(preset, base=build_config({
-            "harness.trials": TRIALS,
-            "harness.snr_grid_db": list(SNR_GRID),
-        }))
         _sweep_cache[key] = run_sweep(config, jobs=jobs)
     return _sweep_cache[key]
 

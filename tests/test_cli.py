@@ -48,6 +48,18 @@ class TestSimulate:
             assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_preset_checked_against_the_config(self, tmp_path, capsys):
+        # fig5b attacks up to 20 units, more than this surface has
+        config = tmp_path / "small.yaml"
+        config.write_text("ris.n_units: 10\n")
+        out = tmp_path / "out.csv"
+        assert main([
+            "simulate", "--config", str(config), "--preset", "fig5b",
+            "--output", str(out), "--trials", "8",
+        ]) == 2
+        assert "harness.attacked_grid" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path):
         config = tmp_path / "bad.yaml"
         config.write_text("nonsense.key: 1\n")

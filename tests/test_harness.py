@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,6 @@ class TestLoadConfig:
         config = load_config(str(path))
         assert config.ofdm.symbol_length == 64
         assert config.ofdm.subcarrier_spacing_hz == 15e3
-        assert config.ofdm.cp_length == 16
         assert config.ofdm.pilot_interval == 5
         assert config.max_doppler_hz == 5.0
         assert config.n_units == 30
@@ -74,8 +75,8 @@ class TestLoadConfig:
             build_config({"ris.attacked_unitz": 3})
 
     def test_bad_scheme_named(self):
-        with pytest.raises(ConfigError, match="protocol.scheme"):
-            build_config({"protocol.scheme": "telepathy"})
+        with pytest.raises(ConfigError, match="harness.schemes"):
+            build_config({"harness.schemes": ["lockey", "telepathy"]})
 
     def test_custom_profile_roundtrip(self, tmp_path):
         path = tmp_path / "profile.yaml"
@@ -89,6 +90,10 @@ class TestLoadConfig:
     def test_profile_needs_both_fields(self):
         with pytest.raises(ConfigError, match="alice_bob"):
             build_config({"channel.alice_bob.powers_db": [0.0]})
+
+    def test_malformed_profile_named(self):
+        with pytest.raises(ConfigError, match="channel.alice_bob"):
+            build_config({"channel.alice_bob.delays_us": 5, "channel.alice_bob.powers_db": [0.0]})
 
     @pytest.mark.parametrize("trials", [0, 2, 3])
     def test_fewer_than_four_trials_rejected(self, trials):
@@ -106,6 +111,24 @@ class TestLoadConfig:
         assert load_config(str(path), {"harness.trials": 9}).trials == 9
         with pytest.raises(ConfigError, match="harness.master_seed"):
             load_config(str(path), {"harness.master_seed": -1})
+
+    def test_with_overrides_validated(self):
+        config = build_config({})
+        with pytest.raises(ConfigError, match="harness.trials"):
+            config.with_overrides(trials=2)
+        with pytest.raises(ConfigError, match="ris.attacked_units"):
+            config.with_overrides(attacked_units=31)
+        with pytest.raises(ConfigError, match="harness.attacked_grid"):
+            config.with_overrides(attacked_grid=(2, 10, 40))
+
+    def test_readme_config_block_loads(self, tmp_path):
+        # every key the README documents is one the program reads
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```yaml\n(.*?)^```", readme, flags=re.M | re.S)
+        assert len(blocks) == 1
+        path = tmp_path / "readme.yaml"
+        path.write_text(blocks[0])
+        load_config(str(path))
 
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -280,6 +303,8 @@ class TestPresets:
         for name in ("fig5a", "fig5b", "fig5c", "fig5d", "fig5e", "fig5f", "custom"):
             config = preset_config(name, base=tiny_config())
             assert config.trials == 8
+        assert preset_config("fig5c") == preset_config("fig5f") == preset_config("fig5a")
+        assert preset_config("fig5e") == preset_config("fig5b")
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="preset"):

@@ -18,6 +18,12 @@ Stochastic kernel functions take an optional ``trials`` count.  With it they
 draw every trial of a block from the one stream, as a leading array axis
 (see :func:`batch_shape`); the number of streams, and of Generators built,
 does not grow with the trial count.
+
+The model samplers of :mod:`lockeysim.analysis` instead split a long draw
+into fixed-size blocks, block ``i`` drawing from ``substream(stream, i)``.
+Their Generators are built on the calling thread and the blocks filled on
+a thread pool, so the values depend on the key and the sample count but not
+on the number of threads.  These samplers need an int or tuple key.
 """
 
 from __future__ import annotations

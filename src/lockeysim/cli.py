@@ -48,6 +48,14 @@ def _check(name, got, want, tol):
     return ok
 
 
+def _sample_count(text: str) -> int:
+    """``--samples``: a correlation and a gamma estimate need two samples."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
+
+
 def _cmd_oracle(args) -> int:
     """Analytic formulas against their Monte-Carlo estimates."""
     n = args.samples
@@ -57,7 +65,7 @@ def _cmd_oracle(args) -> int:
     stats = analysis.ModelStats(g_a=2.0, g_b=3.0, a=0.5, b=0.5, var_arb=1.0, var_ab=1.0)
     gamma_star = analysis.gamma_analytic(stats)
     grid = np.arange(0.0, 3.0 * gamma_star, 1e-3)
-    best = grid[np.argmin([analysis.mse_prediction(g, stats) for g in grid])]
+    best = grid[np.argmin(analysis.mse_prediction(grid, stats))]
     ok &= _check("argmin over gamma grid", best, gamma_star, 1e-3)
 
     print("prediction scalar: sample estimate vs closed form")
@@ -117,7 +125,8 @@ def main(argv=None) -> int:
     val.set_defaults(func=_cmd_validate)
 
     orc = sub.add_parser("oracle", help="check analytic formulas against Monte-Carlo estimates")
-    orc.add_argument("--samples", type=int, default=100_000)
+    orc.add_argument("--samples", type=_sample_count, default=100_000,
+                     help="samples per Monte-Carlo check (at least 2)")
     orc.set_defaults(func=_cmd_oracle)
 
     args = parser.parse_args(argv)

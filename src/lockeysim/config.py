@@ -48,6 +48,10 @@ DEFAULTS = {
     "harness.jobs": 1,
 }
 
+#: Accepted values of ``protocol.gamma_mode`` and ``keygen.metric``.
+GAMMA_MODES = ("round", "window")
+METRICS = ("bit_rate", "information", "both")
+
 #: Largest SNR magnitude of the sweep axis, in dB.  Beyond about 3000 dB the
 #: noise variance ``10**(-snr/10)`` is no longer a finite non-zero double;
 #: the cap sits far inside that and far outside any physical link.
@@ -62,9 +66,11 @@ for _link in _LINK_KEYS:
 class ExperimentConfig:
     """Fully validated experiment description.
 
-    The rules that tie fields together are checked here, so a configuration
-    built from a file, from `with_overrides` or from a preset obeys them;
-    a violation raises `ConfigError` naming the dotted key.
+    The ranges and choices of the scalar and grid fields, and the rules that
+    tie fields together, are checked here, so a configuration built from a
+    file, from `with_overrides` or from a preset obeys them; a violation
+    raises `ConfigError` naming the dotted key.  The waveform, tap profiles,
+    noise reference and schemes are checked where `build_config` parses them.
     """
 
     ofdm: OfdmConfig
@@ -86,6 +92,37 @@ class ExperimentConfig:
     jobs: int
 
     def __post_init__(self):
+        for key, grid in (("harness.snr_grid_db", self.snr_grid_db), ("harness.schemes", self.schemes),
+                          ("harness.n_units_grid", self.n_units_grid),
+                          ("harness.attacked_grid", self.attacked_grid)):
+            if len(grid) == 0:
+                raise ConfigError(f"{key}: expected a non-empty list")
+        for key, values, minimum in (
+            ("ris.n_units", (self.n_units,), 1),
+            ("ris.attacked_units", (self.attacked_units,), 0),
+            ("fading.max_doppler_hz", (self.max_doppler_hz,), 0.0),
+            ("protocol.gamma_window", (self.gamma_window,), 1),
+            # four samples per subcarrier column are the fewest the quartile
+            # quantizer can place its thresholds in
+            ("harness.trials", (self.trials,), 4),
+            ("harness.n_units_grid", self.n_units_grid, 1),
+            ("harness.attacked_grid", self.attacked_grid, 0),
+            ("harness.master_seed", (self.master_seed,), 0),
+            ("harness.jobs", (self.jobs,), 1),
+        ):
+            for value in values:
+                if not value >= minimum:
+                    raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
+        if not self.tau_s > 0:
+            raise ConfigError(f"protocol.tau_ms: must be > 0, got {self.tau_s * 1e3}")
+        for key, value, choices in (("protocol.gamma_mode", self.gamma_mode, GAMMA_MODES),
+                                    ("keygen.metric", self.metric, METRICS)):
+            if value not in choices:
+                raise ConfigError(f"{key}: expected one of {list(choices)}, got {value!r}")
+        for snr_db in self.snr_grid_db:
+            if not -MAX_SNR_DB <= snr_db <= MAX_SNR_DB:
+                raise ConfigError(
+                    f"harness.snr_grid_db: must lie within +-{MAX_SNR_DB:g} dB, got {snr_db}")
         if self.attacked_units > self.n_units:
             raise ConfigError(
                 f"ris.attacked_units ({self.attacked_units}) exceeds ris.n_units ({self.n_units})"
@@ -96,10 +133,6 @@ class ExperimentConfig:
                 f"harness.n_units_grid (min {min(self.n_units_grid)}); every sweep cell "
                 "needs attacked units <= surface units"
             )
-        # four samples per subcarrier column are the fewest the quartile
-        # quantizer can place its thresholds in
-        if self.trials < 4:
-            raise ConfigError(f"harness.trials: must be >= 4, got {self.trials}")
 
     @property
     def noise_ref(self) -> Optional[float]:
@@ -148,7 +181,7 @@ def _require_int(raw, key, minimum=None):
     return raw
 
 
-def _require_number(raw, key, minimum=None, maximum=None):
+def _require_number(raw, key, minimum=None):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {raw!r}")
     value = float(raw)
@@ -156,8 +189,6 @@ def _require_number(raw, key, minimum=None, maximum=None):
         raise ConfigError(f"{key}: must be finite, got {raw!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{key}: must be >= {minimum}, got {raw}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{key}: must be <= {maximum}, got {raw}")
     return value
 
 
@@ -168,8 +199,8 @@ def _require_choice(raw, key, choices):
 
 
 def _require_list(raw, key):
-    if not isinstance(raw, (list, tuple)) or len(raw) == 0:
-        raise ConfigError(f"{key}: expected a non-empty list, got {raw!r}")
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"{key}: expected a list, got {raw!r}")
     return list(raw)
 
 
@@ -211,21 +242,13 @@ def build_config(overrides: Optional[dict] = None) -> ExperimentConfig:
     else:
         noise_ref_mode = _require_choice(noise_ref_raw, "ofdm.noise_ref", {"link", "pilot", "measured"})
 
-    n_units = _require_int(values["ris.n_units"], "ris.n_units", 1)
-    attacked = _require_int(values["ris.attacked_units"], "ris.attacked_units", 0)
+    n_units = _require_int(values["ris.n_units"], "ris.n_units")
+    attacked = _require_int(values["ris.attacked_units"], "ris.attacked_units")
 
     profiles = {link: _profile_for(link, values) for link in _LINK_KEYS}
 
-    gamma_mode = _require_choice(values["protocol.gamma_mode"], "protocol.gamma_mode", {"round", "window"})
-    gamma_window = _require_int(values["protocol.gamma_window"], "protocol.gamma_window", 1)
-    tau_s = _require_number(values["protocol.tau_ms"], "protocol.tau_ms", 0.0) * 1e-3
-    if tau_s <= 0:
-        raise ConfigError("protocol.tau_ms: must be > 0")
-
-    metric = _require_choice(values["keygen.metric"], "keygen.metric", {"bit_rate", "information", "both"})
-
     snr_grid = tuple(
-        _require_number(v, "harness.snr_grid_db", -MAX_SNR_DB, MAX_SNR_DB)
+        _require_number(v, "harness.snr_grid_db")
         for v in _require_list(values["harness.snr_grid_db"], "harness.snr_grid_db")
     )
     trials = _require_int(values["harness.trials"], "harness.trials")
@@ -235,35 +258,33 @@ def build_config(overrides: Optional[dict] = None) -> ExperimentConfig:
     )
     n_grid_raw = values["harness.n_units_grid"]
     n_units_grid = tuple(
-        _require_int(v, "harness.n_units_grid", 1)
+        _require_int(v, "harness.n_units_grid")
         for v in (_require_list(n_grid_raw, "harness.n_units_grid") if n_grid_raw is not None else [n_units])
     )
     attacked_raw = values["harness.attacked_grid"]
     attacked_grid = tuple(
-        _require_int(v, "harness.attacked_grid", 0)
+        _require_int(v, "harness.attacked_grid")
         for v in (_require_list(attacked_raw, "harness.attacked_grid") if attacked_raw is not None else [attacked])
     )
-    master_seed = _require_int(values["harness.master_seed"], "harness.master_seed", 0)
-    jobs = _require_int(values["harness.jobs"], "harness.jobs", 1)
 
     return ExperimentConfig(
         ofdm=ofdm,
         noise_ref_mode=noise_ref_mode,
         n_units=n_units,
         attacked_units=attacked,
-        max_doppler_hz=_require_number(values["fading.max_doppler_hz"], "fading.max_doppler_hz", 0.0),
+        max_doppler_hz=_require_number(values["fading.max_doppler_hz"], "fading.max_doppler_hz"),
         profiles=profiles,
-        gamma_mode=gamma_mode,
-        gamma_window=gamma_window,
-        tau_s=tau_s,
-        metric=metric,
+        gamma_mode=values["protocol.gamma_mode"],
+        gamma_window=_require_int(values["protocol.gamma_window"], "protocol.gamma_window"),
+        tau_s=_require_number(values["protocol.tau_ms"], "protocol.tau_ms") * 1e-3,
+        metric=values["keygen.metric"],
         snr_grid_db=snr_grid,
         trials=trials,
         schemes=schemes,
         n_units_grid=n_units_grid,
         attacked_grid=attacked_grid,
-        master_seed=master_seed,
-        jobs=jobs,
+        master_seed=_require_int(values["harness.master_seed"], "harness.master_seed"),
+        jobs=_require_int(values["harness.jobs"], "harness.jobs"),
     )
 
 

@@ -1,8 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lockeysim import analysis
 from lockeysim.analysis import (
     ModelStats,
     correlation,
@@ -212,3 +216,65 @@ class TestSamplers:
     def test_loopback_rejects_unrealizable_mean_correlation(self):
         with pytest.raises(ValueError):
             sample_loopback_pairs(ModelStats(1.0, 1.0, 2.0, 0.9, 1.0, 1.0), 100, (206,))
+
+
+class TestBlockSampler:
+    B = analysis.SAMPLE_BLOCK
+    FEASIBLE = ModelStats(0.9, 0.8, 0.6, 0.4, 1.2, 0.9)
+    STRONG = ModelStats(2.0, 3.0, 0.5, 0.5, 1.0, 1.0)
+
+    def _draw_all(self, n, key):
+        return (*sample_first_round_pairs(self.FEASIBLE, n, (key, 0)),
+                *sample_loopback_pairs(self.FEASIBLE, n, (key, 1)),
+                *sample_loopback_pairs(self.STRONG, n, (key, 2), match_second_moment=False))
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    @settings(max_examples=3, deadline=None)
+    @given(key=st.integers(0, 2 ** 32 - 1))
+    def test_values_do_not_depend_on_pool_size(self, n, key):
+        draws = []
+        for workers in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(analysis, "_cpu_count", lambda: workers)
+                draws.append(self._draw_all(n, key))
+        assert all(a.shape == (n,) for a in draws[0])
+        for other in draws[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(draws[0], other))
+
+    def test_generators_built_on_the_main_thread(self, monkeypatch):
+        built, fill_threads = [], set()
+        as_rng, complex_normal = analysis.as_rng, analysis._complex_normal
+
+        def main_thread_as_rng(stream):
+            assert threading.current_thread() is threading.main_thread()
+            built.append(stream)
+            return as_rng(stream)
+
+        def recorded_complex_normal(*args):
+            fill_threads.add(threading.current_thread())
+            return complex_normal(*args)
+
+        monkeypatch.setattr(analysis, "as_rng", main_thread_as_rng)
+        monkeypatch.setattr(analysis, "_complex_normal", recorded_complex_normal)
+        monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
+        self._draw_all(3 * self.B + 7, 11)
+        assert len(built) == 3 * 4
+        assert fill_threads and threading.main_thread() not in fill_threads
+
+    def test_unrealizable_stats_rejected_before_any_draw(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(analysis, "as_rng", built.append)
+        with pytest.raises(ValueError):
+            sample_first_round_pairs(self.STRONG, 100, (12,))
+        with pytest.raises(ValueError):
+            sample_loopback_pairs(ModelStats(1.0, 1.0, 2.0, 0.9, 1.0, 1.0), 100, (13,))
+        assert built == []
+
+    @pytest.mark.parametrize("sampler", [sample_first_round_pairs, sample_loopback_pairs])
+    def test_negative_count_rejected(self, sampler):
+        with pytest.raises(ValueError):
+            sampler(self.FEASIBLE, -1, (14,))
+
+    def test_generator_stream_rejected(self):
+        with pytest.raises(TypeError):
+            sample_first_round_pairs(self.FEASIBLE, 10, np.random.default_rng(0))

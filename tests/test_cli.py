@@ -1,3 +1,5 @@
+import pytest
+
 from lockeysim.cli import main
 
 
@@ -76,3 +78,10 @@ class TestOracle:
         out = capsys.readouterr().out
         assert "overall: PASS" in out
         assert "[FAIL]" not in out
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_fewer_than_two_samples_rejected(self, samples, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["oracle", "--samples", samples])
+        assert exit_info.value.code == 2
+        assert "--samples" in capsys.readouterr().err

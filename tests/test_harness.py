@@ -121,6 +121,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="harness.attacked_grid"):
             config.with_overrides(attacked_grid=(2, 10, 40))
 
+    @pytest.mark.parametrize("field, value, key", [
+        ("gamma_mode", "sometimes", "protocol.gamma_mode"),
+        ("gamma_window", 0, "protocol.gamma_window"),
+        ("jobs", 0, "harness.jobs"),
+        ("snr_grid_db", (1e4,), "harness.snr_grid_db"),
+    ])
+    def test_with_overrides_checks_field_values(self, field, value, key):
+        with pytest.raises(ConfigError, match=key):
+            build_config({}).with_overrides(**{field: value})
+
     def test_readme_config_block_loads(self, tmp_path):
         # every key the README documents is one the program reads
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -23,7 +23,9 @@ The model samplers of :mod:`lockeysim.analysis` instead split a long draw
 into fixed-size blocks, block ``i`` drawing from ``substream(stream, i)``.
 Their Generators are built on the calling thread and the blocks filled on
 a thread pool, so the values depend on the key and the sample count but not
-on the number of threads.  These samplers need an int or tuple key.
+on the number of threads.  A block draws its Gaussians and, only where the
+filters are not fully coupled, one filter phasor per sample.  These
+samplers need an int or tuple key.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ at 1.  The formulas are implemented verbatim, including the uncentered
 second-moment denominators of the correlation coefficients; the resulting
 values can exceed 1 for some parameter sets and are never clamped, so the
 samplers below refuse parameter sets whose moments no joint distribution
-can realize.
+can realize.  The samplers draw no filter phase that the law of their
+output does not depend on (see `_filters`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent import futures
 from dataclasses import dataclass
 from typing import Optional
 
@@ -167,7 +167,8 @@ def empirical_mse(predicted, actual) -> PredictionError:
 # Model-driven samplers.  These build the Gaussian model structurally
 # (filters x (mean-weighted shared randomness + shared direct link) + noise)
 # and let the moments emerge, so they stay independent of the closed forms
-# they are checked against.
+# they are checked against.  The first filter is a constant and the second
+# draws one phasor per sample, none when the pair is fully coupled.
 #
 # A sampler fills its output in blocks of SAMPLE_BLOCK samples.  Block i
 # draws from its own sub-stream ``(stream, i)``, so the values depend only on
@@ -219,14 +220,17 @@ def _fill_blocks(n: int, stream: Stream, fill):
         for i in range(len(starts)):
             run(i)
     else:
-        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, range(len(starts))))
     return x, y
 
 
-def _complex_normal(rng, var: float, m: int) -> np.ndarray:
-    """`m` circular complex Gaussians of variance `var` from one real draw."""
-    z = rng.standard_normal(2 * m)
+def _complex_normal(rng, var: float, m: int, out=None) -> np.ndarray:
+    """`m` circular complex Gaussians of variance `var` from one real draw,
+    written into the complex array `out` when one is given."""
+    z = rng.standard_normal(2 * m, out=None if out is None else out.view(np.float64))
     z *= math.sqrt(var / 2.0)
     return z.view(complex)
 
@@ -251,40 +255,72 @@ def _filter_coupling(stats: ModelStats) -> float:
     return min(c, 1.0)
 
 
-def _correlated_filters(stats: ModelStats, c: float, rng, m: int):
-    """Random filter pairs with E|F_a|^2 = g_a, E|F_b|^2 = g_b and cross
-    moment E[F_a conj(F_b)] = g_a * g_b, for the coupling `c` of
-    `_filter_coupling`."""
-    theta = _unit_phasors(rng, m)
-    psi = _unit_phasors(rng, m)
-    f_a = math.sqrt(stats.g_a) * theta
-    f_b = math.sqrt(stats.g_b) * (c * theta + math.sqrt(1.0 - c ** 2) * psi)
+def _filters(stats: ModelStats, c: Optional[float], rng, m: int):
+    """Filter pair ``(f_a, f_b)`` of `m` samples: `f_a` a scalar, `f_b` a
+    scalar or an array.
+
+    For a coupling `c` of `_filter_coupling` the filters are
+    ``f_a = sqrt(g_a)`` and ``f_b = sqrt(g_b) * (c + sqrt(1 - c**2) * psi)``
+    with a unit phasor ``psi`` of uniform phase, drawn only when ``c < 1``:
+    E|F_a|^2 = g_a, E|F_b|^2 = g_b and E[F_a conj(F_b)] = g_a * g_b.  For
+    ``c = None`` they are the deterministic gains ``sqrt(g_a)`` and
+    ``sqrt(g_a) * g_b``.
+
+    A common uniform phase ``theta`` on both filters, ``(theta*f_a,
+    theta*f_b)``, would not change any sampler's law, so none is drawn.  The
+    filters multiply ``V_a, V_b`` (``a*u + w`` and ``b*u + w``, or
+    ``a*u_x + w`` and ``b*u_y + w``), which are jointly circular Gaussian
+    and independent of the filter phases and of the noises.  Hence
+    ``(theta*V_a, theta*V_b, psi*conj(theta))`` has the law of ``(V_a, V_b,
+    psi)``, and ``x = theta*f_a*V_a + n_x``, ``y = theta*f_b*V_b + n_y``
+    keep exactly their joint distribution without ``theta``.
+    """
+    f_a = math.sqrt(stats.g_a)
+    if c is None:
+        return f_a, f_a * stats.g_b
+    if c == 1.0:
+        return f_a, math.sqrt(stats.g_b)
+    f_b = _unit_phasors(rng, m)
+    f_b *= math.sqrt(stats.g_b * (1.0 - c ** 2))
+    f_b += math.sqrt(stats.g_b) * c
     return f_a, f_b
 
 
+def _add_filtered(out, f, coef: float, u, w):
+    """``out += f * (coef*u + w)``, computed in place of `u`."""
+    u *= coef
+    u += w
+    u *= f
+    out += u
+
+
+# The fills draw the noise straight into the output and combine in place:
+# besides its output a block holds at most five arrays of its length, which
+# keeps the memory the pool threads leave allocated small.
 def _fill_first_round(stats: ModelStats, c: float, rng, x, y):
     m = len(x)
-    f_a, f_b = _correlated_filters(stats, c, rng, m)
+    f_a, f_b = _filters(stats, c, rng, m)
     u = _complex_normal(rng, stats.var_arb, m)
     w = _complex_normal(rng, stats.var_ab, m)
-    x[:] = f_a * (stats.a * u + w) + _complex_normal(rng, NOISE_VAR, m)
-    y[:] = f_b * (stats.b * u + w) + _complex_normal(rng, NOISE_VAR, m)
+    _complex_normal(rng, NOISE_VAR, m, x)
+    _complex_normal(rng, NOISE_VAR, m, y)
+    _add_filtered(x, f_a, stats.a, u.copy(), w)
+    _add_filtered(y, f_b, stats.b, u, w)
 
 
 def _fill_loopback(stats: ModelStats, c: Optional[float], rng, x, y):
     m = len(x)
-    if c is None:
-        f_a = math.sqrt(stats.g_a)
-        f_b = stats.g_a * stats.g_b / f_a
-    else:
-        f_a, f_b = _correlated_filters(stats, c, rng, m)
+    f_a, f_b = _filters(stats, c, rng, m)
     rho_u = stats.a * stats.b
     u_x = _complex_normal(rng, stats.s4_arb, m)
-    u_y = rho_u * u_x + math.sqrt(1.0 - rho_u ** 2) * _complex_normal(rng, stats.s4_arb, m)
+    u_y = _complex_normal(rng, stats.s4_arb, m)
+    u_y *= math.sqrt(1.0 - rho_u ** 2)
+    u_y += rho_u * u_x
     w = _complex_normal(rng, stats.s4_ab, m)
-    noise = _complex_normal(rng, NOISE_VAR, m)
-    x[:] = f_a * (stats.a * u_x + w) + noise
-    y[:] = f_b * (stats.b * u_y + w) + noise
+    _complex_normal(rng, NOISE_VAR, m, x)
+    y[:] = x  # one noise term, shared by both sides
+    _add_filtered(x, f_a, stats.a, u_x, w)
+    _add_filtered(y, f_b, stats.b, u_y, w)
 
 
 def sample_first_round_pairs(stats: ModelStats, n: int, stream: Stream):
@@ -314,7 +350,7 @@ def sample_loopback_pairs(stats: ModelStats, n: int, stream: Stream, match_secon
     With ``match_second_moment=True`` (default) the filters are drawn so
     that all three second moments match the closed forms; this needs
     ``g_a * g_b <= 1``.  With ``False`` the filters are the deterministic
-    gains ``sqrt(g_a)`` and ``g_a*g_b/sqrt(g_a)``: the cross moment and the
+    gains ``sqrt(g_a)`` and ``sqrt(g_a) * g_b``: the cross moment and the
     first side's power still match for any g values (which is all the
     prediction-scalar estimate depends on), while the second side's power
     is allowed to drift.

@@ -13,8 +13,6 @@ import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
-import yaml
-
 from .fading import DEFAULT_PROFILES, TapProfile
 from .ofdm import OfdmConfig
 from .protocol import Scheme
@@ -69,8 +67,9 @@ class ExperimentConfig:
     The ranges and choices of the scalar and grid fields, and the rules that
     tie fields together, are checked here, so a configuration built from a
     file, from `with_overrides` or from a preset obeys them; a violation
-    raises `ConfigError` naming the dotted key.  The waveform, tap profiles,
-    noise reference and schemes are checked where `build_config` parses them.
+    raises `ConfigError` naming the dotted key.  The waveform checks its own
+    ranges (`OfdmConfig` raises the same error); the tap profiles, noise
+    reference and schemes are checked where `build_config` parses them.
     """
 
     ofdm: OfdmConfig
@@ -173,22 +172,18 @@ def _flatten(mapping, prefix=""):
     return flat
 
 
-def _require_int(raw, key, minimum=None):
+def _require_int(raw, key):
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise ConfigError(f"{key}: expected an integer, got {raw!r}")
-    if minimum is not None and raw < minimum:
-        raise ConfigError(f"{key}: must be >= {minimum}, got {raw}")
     return raw
 
 
-def _require_number(raw, key, minimum=None):
+def _require_number(raw, key):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {raw!r}")
     value = float(raw)
     if not math.isfinite(value):
         raise ConfigError(f"{key}: must be finite, got {raw!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key}: must be >= {minimum}, got {raw}")
     return value
 
 
@@ -228,10 +223,10 @@ def build_config(overrides: Optional[dict] = None) -> ExperimentConfig:
     values.update(overrides or {})
 
     ofdm = OfdmConfig(
-        symbol_length=_require_int(values["ofdm.symbol_length"], "ofdm.symbol_length", 1),
+        symbol_length=_require_int(values["ofdm.symbol_length"], "ofdm.symbol_length"),
         subcarrier_spacing_hz=_require_number(
-            values["ofdm.subcarrier_spacing_khz"], "ofdm.subcarrier_spacing_khz", 0.0) * 1e3,
-        pilot_interval=_require_int(values["ofdm.pilot_interval"], "ofdm.pilot_interval", 1),
+            values["ofdm.subcarrier_spacing_khz"], "ofdm.subcarrier_spacing_khz") * 1e3,
+        pilot_interval=_require_int(values["ofdm.pilot_interval"], "ofdm.pilot_interval"),
     )
 
     noise_ref_raw = values["ofdm.noise_ref"]
@@ -299,6 +294,8 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> Experi
         return build_config(overrides)
     if not os.path.exists(path):
         raise ConfigError(f"configuration file not found: {path}")
+    import yaml
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = yaml.safe_load(handle)

@@ -120,14 +120,20 @@ class FadingProcess:
     profile: TapProfile
     max_doppler: float
     _amplitudes: np.ndarray = field(repr=False)   # (n_taps,)
-    _rates: np.ndarray = field(repr=False)        # ([trials,] n_taps, M), rad/s
+    _angles: np.ndarray = field(repr=False)       # ([trials,] n_taps, M), arrival angles
     _phases: np.ndarray = field(repr=False)       # ([trials,] n_taps, M)
+
+    @functools.cached_property
+    def _rates(self) -> np.ndarray:
+        """Oscillator frequencies in rad/s, computed on the first read at t > 0."""
+        return 2.0 * np.pi * self.max_doppler * np.cos(self._angles)
 
     def gains(self, time_s: float) -> np.ndarray:
         """Complex tap gains ``([trials,] n_taps)`` at an absolute time in seconds."""
         if time_s < 0:
             raise ValueError("time must be non-negative")
-        angle = self._rates * time_s + self._phases
+        # at t = 0 the angles are the phases exactly, whatever the rates
+        angle = self._phases if time_s == 0 else self._rates * time_s + self._phases
         # real cos/sin sums: half the temporary memory of a complex exp
         return self._amplitudes * (np.cos(angle).sum(axis=-1) + 1j * np.sin(angle).sum(axis=-1))
 
@@ -150,9 +156,8 @@ def make_fading_process(
     shape = batch_shape(trials, profile.n_taps, m)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=shape)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-    rates = 2.0 * np.pi * max_doppler_hz * np.cos(angles)
     amplitudes = np.sqrt(profile.linear_powers / m)
-    return FadingProcess(profile, float(max_doppler_hz), amplitudes, rates, phases)
+    return FadingProcess(profile, float(max_doppler_hz), amplitudes, angles, phases)
 
 
 def _finite_freqs(subcarrier_freqs) -> tuple:

@@ -10,7 +10,6 @@ of worker count and unaffected by adding or removing other cells.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -239,6 +238,8 @@ def run_sweep(config: ExperimentConfig, jobs: Optional[int] = None) -> list:
     args = [(config, scheme, snr, n, k) for scheme, snr, n, k in cells]
     if jobs <= 1 or len(cells) <= 1:
         return [_cell_worker(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_cell_worker, args))
 

@@ -10,6 +10,7 @@ of symbols, one trial per row along a leading axis.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,17 +24,28 @@ _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class OfdmConfig:
-    """Waveform parameters of the probing signal."""
+    """Waveform parameters of the probing signal.
+
+    An out-of-range field raises `ConfigError` naming its configuration key,
+    so a waveform is checked the same way whether it comes from a file or
+    is built directly and passed to ``ExperimentConfig.with_overrides``.
+    """
 
     symbol_length: int = 64
     subcarrier_spacing_hz: float = 15e3
     pilot_interval: int = 5
 
     def __post_init__(self):
-        if self.symbol_length < 1:
-            raise ValueError("symbol_length must be >= 1")
-        if self.pilot_interval < 1:
-            raise ValueError("pilot_interval must be >= 1")
+        for key, value, valid, rule in (
+            ("ofdm.symbol_length", self.symbol_length, self.symbol_length >= 1, ">= 1"),
+            ("ofdm.subcarrier_spacing_khz", self.subcarrier_spacing_hz / 1e3,
+             math.isfinite(self.subcarrier_spacing_hz) and self.subcarrier_spacing_hz >= 0, "finite and >= 0"),
+            ("ofdm.pilot_interval", self.pilot_interval, self.pilot_interval >= 1, ">= 1"),
+        ):
+            if not valid:
+                from .config import ConfigError  # config imports this module
+
+                raise ConfigError(f"{key}: must be {rule}, got {value}")
 
     @property
     def subcarrier_freqs(self) -> np.ndarray:

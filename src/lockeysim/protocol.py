@@ -10,8 +10,11 @@ desynchronizes the two directions, which is what the prediction-scalar
 compensation of the third scheme targets.
 
 Within a slot the air channel is reciprocal: one fading realization per
-link is shared by both directions.  Between slots the realizations evolve
-under the configured Doppler.
+link is shared by both directions.  The two slots use independent
+realizations, one set per band, and each realization is read at exactly one
+instant: band 1 at t = 0, band 2 at t = tau.  No realization is seen to
+evolve, so the Doppler spread and the slot spacing change the values of a
+round but not their distribution.
 
 An environment drawn with ``trials=T`` holds T independent rounds along a
 leading array axis, and every function below runs all of them at once; an

@@ -25,7 +25,7 @@ class RisState:
 
     n_units: int
     on_off: np.ndarray   # ([trials,] N) of {0, 1}
-    phases: np.ndarray   # ([trials,] N) in (0, 2*pi)
+    phases: np.ndarray   # ([trials,] N) in [0, 2*pi)
 
     def __post_init__(self):
         on_off = np.asarray(self.on_off, dtype=np.int8)
@@ -38,8 +38,8 @@ class RisState:
             raise ValueError("on_off and phases must both have length n_units")
         if not np.all((on_off == 0) | (on_off == 1)):
             raise ValueError("on_off entries must be 0 or 1")
-        if np.any(phases < 0.0) or np.any(phases > 2.0 * np.pi):
-            raise ValueError("phases must lie in (0, 2*pi)")
+        if np.any(phases < 0.0) or np.any(phases >= 2.0 * np.pi):
+            raise ValueError("phases must lie in [0, 2*pi)")
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class JammerConfig:
 
 def random_ris_state(n_units: int, stream: Stream, trials: Optional[int] = None) -> RisState:
     """Fresh configuration (one per trial with `trials`): all units on,
-    phases i.i.d. uniform on (0, 2*pi)."""
+    phases i.i.d. uniform on [0, 2*pi)."""
     if n_units < 1:
         raise ValueError("n_units must be >= 1")
     rng = as_rng(stream)

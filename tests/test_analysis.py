@@ -217,6 +217,59 @@ class TestSamplers:
         with pytest.raises(ValueError):
             sample_loopback_pairs(ModelStats(1.0, 1.0, 2.0, 0.9, 1.0, 1.0), 100, (206,))
 
+    # filter coupling sqrt(g_a*g_b) below 1, and at 1 with equal and unequal powers
+    COUPLINGS = [ModelStats(0.8, 0.9, 0.6, 0.4, 1.5, 1.0), ModelStats(1.0, 1.0, 0.8, 0.8, 2.0, 1.0),
+                 ModelStats(0.5, 2.0, 0.6, 0.4, 1.5, 1.0)]
+
+    @staticmethod
+    def _check_moments(x, y, power_x, power_y, cross):
+        n = len(x)
+        assert np.mean(np.abs(x) ** 2) == pytest.approx(power_x, rel=0.02)
+        assert np.mean(np.abs(y) ** 2) == pytest.approx(power_y, rel=0.02)
+        assert np.mean(x * np.conj(y)) == pytest.approx(cross, rel=0.03, abs=0.03)
+        # circular pair: the pseudo-moments vanish to within a few standard errors
+        for pseudo, scale in ((x * y, power_x * power_y), (x * x, power_x ** 2), (y * y, power_y ** 2)):
+            assert abs(np.mean(pseudo)) < 6.0 * math.sqrt(scale / n)
+
+    @pytest.mark.parametrize("stats", COUPLINGS)
+    def test_first_round_second_moments_and_circularity(self, stats):
+        x, y = sample_first_round_pairs(stats, 200_000, (207,))
+        a, b = stats.a, stats.b
+        self._check_moments(x, y,
+                            stats.g_a * (a * a * stats.var_arb + stats.var_ab) + 1.0,
+                            stats.g_b * (b * b * stats.var_arb + stats.var_ab) + 1.0,
+                            stats.g_a * stats.g_b * (a * b * stats.var_arb + stats.var_ab))
+
+    @pytest.mark.parametrize("stats", COUPLINGS)
+    def test_loopback_second_moments_and_circularity(self, stats):
+        x, y = sample_loopback_pairs(stats, 200_000, (208,))
+        a, b, s4c, s4d = stats.a, stats.b, stats.var_arb ** 2, stats.var_ab ** 2
+        self._check_moments(x, y,
+                            stats.g_a * (a * a * s4c + s4d) + 1.0,
+                            stats.g_b * (b * b * s4c + s4d) + 1.0,
+                            stats.g_a * stats.g_b * (a * a * b * b * s4c + s4d) + 1.0)
+
+    @pytest.mark.parametrize("stats, match, per_block", [
+        (COUPLINGS[0], True, 1), (COUPLINGS[1], True, 0), (COUPLINGS[2], True, 0),
+        (COUPLINGS[0], False, 0), (ModelStats(2.0, 3.0, 0.5, 0.5, 1.0, 1.0), False, 0),
+    ])
+    def test_one_filter_phasor_per_sample_below_full_coupling(self, monkeypatch, stats, match, per_block):
+        calls = []
+        unit_phasors = analysis._unit_phasors
+
+        def counted(rng, m):
+            calls.append(m)
+            return unit_phasors(rng, m)
+
+        monkeypatch.setattr(analysis, "_unit_phasors", counted)
+        n = 3 * analysis.SAMPLE_BLOCK + 7
+        sample_loopback_pairs(stats, n, (209,), match_second_moment=match)
+        assert sum(calls) == per_block * n and len(calls) == per_block * 4
+        if match:
+            calls.clear()
+            sample_first_round_pairs(stats, n, (210,))
+            assert sum(calls) == per_block * n and len(calls) == per_block * 4
+
 
 class TestBlockSampler:
     B = analysis.SAMPLE_BLOCK

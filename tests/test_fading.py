@@ -97,7 +97,7 @@ class TestFadingProcess:
         np.testing.assert_allclose(measured_db, ALICE_RIS_PROFILE.powers_db, atol=0.5)
         freqs = np.arange(64) * 15e3
         response = frequency_response(process, 0.37, freqs)
-        row = FadingProcess(ALICE_RIS_PROFILE, 5.0, process._amplitudes, process._rates[7], process._phases[7])
+        row = FadingProcess(ALICE_RIS_PROFILE, 5.0, process._amplitudes, process._angles[7], process._phases[7])
         np.testing.assert_allclose(response[7], frequency_response(row, 0.37, freqs), rtol=1e-12)
 
     def test_rejects_negative_time(self):

@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +19,7 @@ from lockeysim.harness import (
     run_sweep,
     sweep_cells,
 )
+from lockeysim.ofdm import OfdmConfig
 from lockeysim.protocol import Scheme
 
 
@@ -130,6 +135,21 @@ class TestLoadConfig:
     def test_with_overrides_checks_field_values(self, field, value, key):
         with pytest.raises(ConfigError, match=key):
             build_config({}).with_overrides(**{field: value})
+
+    @pytest.mark.parametrize("field, value, key, raw", [
+        ("symbol_length", 0, "ofdm.symbol_length", 0),
+        ("subcarrier_spacing_hz", -15e3, "ofdm.subcarrier_spacing_khz", -15.0),
+        ("subcarrier_spacing_hz", math.nan, "ofdm.subcarrier_spacing_khz", None),
+        ("pilot_interval", 0, "ofdm.pilot_interval", 0),
+    ])
+    def test_waveform_ranges_named(self, field, value, key, raw):
+        # a file key, a waveform passed to with_overrides and the waveform
+        # itself are held to the same ranges
+        if raw is not None:
+            with pytest.raises(ConfigError, match=key):
+                build_config({key: raw})
+        with pytest.raises(ConfigError, match=key):
+            build_config({}).with_overrides(ofdm=replace(OfdmConfig(), **{field: value}))
 
     def test_readme_config_block_loads(self, tmp_path):
         # every key the README documents is one the program reads
@@ -329,3 +349,14 @@ class TestPresets:
         config = preset_config("fig5c", base=tiny_config())
         assert len(config.schemes) == 3
         assert config.attacked_grid == (5,)
+
+
+def test_package_import_leaves_optional_modules_unloaded():
+    # yaml and the executor modules are loaded where a config file is read or
+    # a pool is started, not by the package import
+    code = ("import sys, lockeysim; "
+            "print(sorted(m for m in ('yaml', 'multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

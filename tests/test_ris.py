@@ -24,6 +24,12 @@ class TestRisState:
         with pytest.raises(ValueError):
             RisState(2, np.array([0, 2]), np.array([1.0, 1.0]))
 
+    def test_phase_interval_is_half_open(self):
+        # the interval random_ris_state draws from: 0 is a phase, 2*pi is not
+        assert RisState(2, np.ones(2), np.array([0.0, 1.0])).phases[0] == 0.0
+        with pytest.raises(ValueError, match=r"\[0, 2\*pi\)"):
+            RisState(2, np.ones(2), np.array([1.0, 2.0 * np.pi]))
+
 
 class TestRandomState:
     def test_default_surface(self):

@@ -13,7 +13,7 @@ from lockeysim.ofdm import OfdmConfig, generate_pilot, ls_estimate, pilot_values
 config = OfdmConfig()
 freqs = config.subcarrier_freqs
 pilot = generate_pilot(config, (1,))
-h = frequency_response(make_fading_process(ALICE_BOB_PROFILE, 0.0, (2,)), 0.0, freqs)
+h = frequency_response(make_fading_process(ALICE_BOB_PROFILE, (2,)), freqs)
 flat = np.ones(config.symbol_length, dtype=complex)
 
 print("== noiseless estimation is exact at pilot subcarriers ==")

@@ -72,7 +72,7 @@ def _cmd_oracle(args) -> int:
     sets = [
         analysis.ModelStats(2.0, 3.0, 0.5, 0.5, 1.0, 1.0),
         analysis.ModelStats(0.9, 0.8, 0.6, 0.4, 1.2, 0.9),
-        analysis.ModelStats(1.0, 1.0, 0.0, 0.0, 1.0, 1.5),
+        analysis.ModelStats(0.7, 1.2, 0.2, 0.6, 1.0, 1.5),
     ]
     for i, stats in enumerate(sets):
         feasible = stats.g_a * stats.g_b <= 1.0

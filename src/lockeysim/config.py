@@ -32,11 +32,8 @@ DEFAULTS = {
     "ofdm.noise_ref": "link",            # link | pilot | measured | number
     "ris.n_units": 30,
     "ris.attacked_units": 5,
-    "fading.max_doppler_hz": 5.0,
     "protocol.gamma_mode": "round",      # round | window
     "protocol.gamma_window": 200,
-    "protocol.tau_ms": 1.0,
-    "keygen.metric": "both",             # bit_rate | information | both
     "harness.snr_grid_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
     "harness.trials": 1000,
     "harness.schemes": ["non_loopback", "loopback", "lockey"],
@@ -46,9 +43,8 @@ DEFAULTS = {
     "harness.jobs": 1,
 }
 
-#: Accepted values of ``protocol.gamma_mode`` and ``keygen.metric``.
+#: Accepted values of ``protocol.gamma_mode``.
 GAMMA_MODES = ("round", "window")
-METRICS = ("bit_rate", "information", "both")
 
 #: Largest SNR magnitude of the sweep axis, in dB.  Beyond about 3000 dB the
 #: noise variance ``10**(-snr/10)`` is no longer a finite non-zero double;
@@ -76,12 +72,9 @@ class ExperimentConfig:
     noise_ref_mode: str
     n_units: int
     attacked_units: int
-    max_doppler_hz: float
     profiles: dict
     gamma_mode: str
     gamma_window: int
-    tau_s: float
-    metric: str
     snr_grid_db: tuple
     trials: int
     schemes: tuple
@@ -99,7 +92,6 @@ class ExperimentConfig:
         for key, values, minimum in (
             ("ris.n_units", (self.n_units,), 1),
             ("ris.attacked_units", (self.attacked_units,), 0),
-            ("fading.max_doppler_hz", (self.max_doppler_hz,), 0.0),
             ("protocol.gamma_window", (self.gamma_window,), 1),
             # four samples per subcarrier column are the fewest the quartile
             # quantizer can place its thresholds in
@@ -112,12 +104,9 @@ class ExperimentConfig:
             for value in values:
                 if not value >= minimum:
                     raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
-        if not self.tau_s > 0:
-            raise ConfigError(f"protocol.tau_ms: must be > 0, got {self.tau_s * 1e3}")
-        for key, value, choices in (("protocol.gamma_mode", self.gamma_mode, GAMMA_MODES),
-                                    ("keygen.metric", self.metric, METRICS)):
-            if value not in choices:
-                raise ConfigError(f"{key}: expected one of {list(choices)}, got {value!r}")
+        if self.gamma_mode not in GAMMA_MODES:
+            raise ConfigError(
+                f"protocol.gamma_mode: expected one of {list(GAMMA_MODES)}, got {self.gamma_mode!r}")
         for snr_db in self.snr_grid_db:
             if not -MAX_SNR_DB <= snr_db <= MAX_SNR_DB:
                 raise ConfigError(
@@ -267,12 +256,9 @@ def build_config(overrides: Optional[dict] = None) -> ExperimentConfig:
         noise_ref_mode=noise_ref_mode,
         n_units=n_units,
         attacked_units=attacked,
-        max_doppler_hz=_require_number(values["fading.max_doppler_hz"], "fading.max_doppler_hz"),
         profiles=profiles,
         gamma_mode=values["protocol.gamma_mode"],
         gamma_window=_require_int(values["protocol.gamma_window"], "protocol.gamma_window"),
-        tau_s=_require_number(values["protocol.tau_ms"], "protocol.tau_ms") * 1e-3,
-        metric=values["keygen.metric"],
         snr_grid_db=snr_grid,
         trials=trials,
         schemes=schemes,

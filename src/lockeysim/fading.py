@@ -1,11 +1,14 @@
 """Tapped-delay-line fading, fixed hardware filters, and receiver noise.
 
 The air channel between two radios is a set of delayed taps whose complex
-gains fade independently (Rayleigh, sum-of-sinusoids Doppler evolution).
-Hardware chains add a fixed multi-tap filter per transmission direction
-that never changes over time.  Receiver noise is circular complex AWGN
-with variance ``10**(-snr_db/10)`` relative to a reference power (unit
-pilot power by default, so 0 dB means unit noise variance).
+gains are independent circular complex Gaussian draws (Rayleigh fading),
+each with the profile's power.  A realization is one static draw: no
+Doppler evolution or channel aging is modelled, and a caller that needs the
+channel of another coherence slot draws fresh independent taps.  Hardware
+chains add a fixed multi-tap filter per transmission direction that never
+changes over time.  Receiver noise is circular complex AWGN with variance
+``10**(-snr_db/10)`` relative to a reference power (unit pilot power by
+default, so 0 dB means unit noise variance).
 """
 
 from __future__ import annotations
@@ -18,10 +21,6 @@ from typing import Optional
 import numpy as np
 
 from ._rng import Stream, as_rng, batch_shape
-
-# Number of sinusoids per tap in the Doppler model.  Large enough that each
-# tap gain is effectively complex Gaussian at any fixed time.
-JAKES_OSCILLATORS = 32
 
 
 @dataclass(frozen=True)
@@ -107,57 +106,31 @@ DEFAULT_PROFILES = {
 
 @dataclass(frozen=True, eq=False)
 class FadingProcess:
-    """One realization of a time-evolving multipath channel, or one per trial.
+    """One multipath channel realization, or one per trial.
 
-    Each tap gain is a sum of ``JAKES_OSCILLATORS`` random-phase sinusoids
-    whose frequencies are ``max_doppler * cos(angle)`` with random angles,
-    scaled so the mean tap power equals the profile's linear power exactly.
-    With ``max_doppler == 0`` every gain is constant in time.  A batched
-    process carries independent realizations along a leading trial axis.
-    Instances are immutable and safe to evaluate from concurrent workers.
+    `gains` holds the complex tap gains, ``([trials,] n_taps)``: each is
+    circular complex Gaussian with mean power equal to the profile's linear
+    power, independent across taps and trials.
     """
 
     profile: TapProfile
-    max_doppler: float
-    _amplitudes: np.ndarray = field(repr=False)   # (n_taps,)
-    _angles: np.ndarray = field(repr=False)       # ([trials,] n_taps, M), arrival angles
-    _phases: np.ndarray = field(repr=False)       # ([trials,] n_taps, M)
-
-    @functools.cached_property
-    def _rates(self) -> np.ndarray:
-        """Oscillator frequencies in rad/s, computed on the first read at t > 0."""
-        return 2.0 * np.pi * self.max_doppler * np.cos(self._angles)
-
-    def gains(self, time_s: float) -> np.ndarray:
-        """Complex tap gains ``([trials,] n_taps)`` at an absolute time in seconds."""
-        if time_s < 0:
-            raise ValueError("time must be non-negative")
-        # at t = 0 the angles are the phases exactly, whatever the rates
-        angle = self._phases if time_s == 0 else self._rates * time_s + self._phases
-        # real cos/sin sums: half the temporary memory of a complex exp
-        return self._amplitudes * (np.cos(angle).sum(axis=-1) + 1j * np.sin(angle).sum(axis=-1))
+    gains: np.ndarray = field(repr=False)
 
 
-def make_fading_process(
-    profile: TapProfile, max_doppler_hz: float, stream: Stream, trials: Optional[int] = None
-) -> FadingProcess:
-    """Draw a fading realization for `profile` with the given Doppler spread.
+def make_fading_process(profile: TapProfile, stream: Stream, trials: Optional[int] = None) -> FadingProcess:
+    """Draw a fading realization for `profile`.
 
     With `trials`, draws that many independent realizations from the one
-    stream.  Deterministic for a fixed stream id.  Raises ValueError for a
-    negative Doppler; an invalid profile is rejected by TapProfile itself.
+    stream.  Deterministic for a fixed stream id; an invalid profile is
+    rejected by TapProfile itself.
     """
     if not isinstance(profile, TapProfile):
         profile = TapProfile(*profile)
-    if max_doppler_hz < 0:
-        raise ValueError("max_doppler_hz must be >= 0")
-    rng = as_rng(stream)
-    m = JAKES_OSCILLATORS
-    shape = batch_shape(trials, profile.n_taps, m)
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-    amplitudes = np.sqrt(profile.linear_powers / m)
-    return FadingProcess(profile, float(max_doppler_hz), amplitudes, angles, phases)
+    draw = as_rng(stream).standard_normal(batch_shape(trials, profile.n_taps, 2))
+    # (re, im) pairs viewed as complex, scaled in place to the tap powers
+    gains = draw.view(complex)[..., 0]
+    gains *= np.sqrt(profile.linear_powers / 2.0)
+    return FadingProcess(profile, gains)
 
 
 def _finite_freqs(subcarrier_freqs) -> tuple:
@@ -179,12 +152,12 @@ def _steering(profile: TapProfile, freqs: tuple) -> np.ndarray:
     return steering
 
 
-def frequency_response(process: FadingProcess, time_s: float, subcarrier_freqs) -> np.ndarray:
-    """Per-subcarrier response ``([trials,] n_freqs)`` of the tapped-delay line at one instant.
+def frequency_response(process: FadingProcess, subcarrier_freqs) -> np.ndarray:
+    """Per-subcarrier response ``([trials,] n_freqs)`` of the tapped-delay line.
 
-    The response at frequency f is ``sum_l gain_l(t) * exp(-2j*pi*f*delay_l)``.
+    The response at frequency f is ``sum_l gain_l * exp(-2j*pi*f*delay_l)``.
     """
-    return process.gains(time_s) @ _steering(process.profile, _finite_freqs(subcarrier_freqs))
+    return process.gains @ _steering(process.profile, _finite_freqs(subcarrier_freqs))
 
 
 @dataclass(frozen=True)

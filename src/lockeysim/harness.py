@@ -80,9 +80,7 @@ def _run_block(config: ExperimentConfig, scheme: Scheme, snr_db, n_units, attack
         config.profiles,
         n_units,
         JammerConfig(attacked),
-        config.max_doppler_hz,
         snr_db,
-        config.tau_s,
         substream(stream, 0),
         noise_ref=config.noise_ref,
         trials=trials,
@@ -192,8 +190,6 @@ def _run_cell(config, scheme, snr_db, n_units, attacked):
         mse_analytic = math.nan
         gamma_mean = math.nan
 
-    csk_bits = metrics.csk_bit_rate if config.metric in ("bit_rate", "both") else math.nan
-    csk_info = metrics.csk_information if config.metric in ("information", "both") else math.nan
     return ResultRow(
         scheme=scheme.value,
         snr_db=float(snr_db),
@@ -204,8 +200,8 @@ def _run_cell(config, scheme, snr_db, n_units, attacked):
         gamma=gamma_mean,
         mse_empirical=mse,
         mse_analytic=mse_analytic,
-        csk_bits=csk_bits,
-        csk_info=csk_info,
+        csk_bits=metrics.csk_bit_rate,
+        csk_info=metrics.csk_information,
         kdr=metrics.kdr,
         trials=config.trials,
     )

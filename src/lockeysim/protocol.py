@@ -10,11 +10,9 @@ desynchronizes the two directions, which is what the prediction-scalar
 compensation of the third scheme targets.
 
 Within a slot the air channel is reciprocal: one fading realization per
-link is shared by both directions.  The two slots use independent
-realizations, one set per band, and each realization is read at exactly one
-instant: band 1 at t = 0, band 2 at t = tau.  No realization is seen to
-evolve, so the Doppler spread and the slot spacing change the values of a
-round but not their distribution.
+link is shared by both directions.  Each slot draws fresh independent
+Gaussian taps for every link, one set per band; no channel aging between
+the slots is modelled.
 
 An environment drawn with ``trials=T`` holds T independent rounds along a
 leading array axis, and every function below runs all of them at once; an
@@ -77,20 +75,17 @@ class Environment:
 
     The fading is not stored: each link's realization is drawn from the
     environment's stream when a slot (or `band1` / `band2`) reads it.  The
-    same stream always gives the same realization, and a batched round
-    holds the oscillator arrays of one link at a time.
+    same stream always gives the same realization.
     """
 
     ofdm: OfdmConfig
     profiles: dict
-    max_doppler_hz: float
     stream: Stream
     fp_ab: HardwareFingerprint
     fp_ba: HardwareFingerprint
     n_units: int
     jammer: JammerConfig
     snr_db: Optional[float]
-    tau_s: float
     pilot: np.ndarray
     noise_ref: Optional[float] = 1.0
     trials: Optional[int] = None
@@ -100,14 +95,12 @@ class Environment:
             raise ValueError("n_units must be >= 1")
         if self.jammer.attacked_count > self.n_units:
             raise ValueError("jammer attacks more units than the surface has")
-        if self.tau_s <= 0:
-            raise ValueError("tau_s must be > 0")
 
     def _link(self, index: int) -> FadingProcess:
         """Fading of link ``_BAND_LINKS[index % 3]`` on band ``index // 3 + 1``,
         drawn from stream index `index`."""
-        return make_fading_process(self.profiles[_BAND_LINKS[index % 3]], self.max_doppler_hz,
-                                   substream(self.stream, index), self.trials)
+        return make_fading_process(self.profiles[_BAND_LINKS[index % 3]], substream(self.stream, index),
+                                   self.trials)
 
     @property
     def band1(self) -> BandChannels:
@@ -141,9 +134,7 @@ def build_environment(
     profiles: dict,
     n_units: int,
     jammer: JammerConfig,
-    max_doppler_hz: float,
     snr_db: Optional[float],
-    tau_s: float,
     stream: Stream,
     noise_ref: Optional[float] = 1.0,
     trials: Optional[int] = None,
@@ -160,25 +151,23 @@ def build_environment(
     return Environment(
         ofdm=ofdm,
         profiles=profiles,
-        max_doppler_hz=max_doppler_hz,
         stream=stream,
         fp_ab=HardwareFingerprint(profiles["alice_hf"], "a->b"),
         fp_ba=HardwareFingerprint(profiles["bob_hf"], "b->a"),
         n_units=n_units,
         jammer=jammer,
         snr_db=snr_db,
-        tau_s=tau_s,
         pilot=pilot,
         noise_ref=noise_ref,
         trials=trials,
     )
 
 
-def _band_responses(env: Environment, first_link: int, time_s: float):
+def _band_responses(env: Environment, first_link: int):
     """``(direct, h_ar, h_rb)`` of the band whose links start at stream index
-    `first_link`; each link's fading is dropped before the next is drawn."""
+    `first_link`."""
     freqs = env.ofdm.subcarrier_freqs
-    return tuple(frequency_response(env._link(i), time_s, freqs) for i in range(first_link, first_link + 3))
+    return tuple(frequency_response(env._link(i), freqs) for i in range(first_link, first_link + 3))
 
 
 def _slot_states(env: Environment, stream: Stream):
@@ -189,7 +178,7 @@ def _slot_states(env: Environment, stream: Stream):
     return first, second
 
 
-def measure_round(env: Environment, slot: int, stream: Stream, swap_roles: bool = False):
+def measure_round(env: Environment, stream: Stream, swap_roles: bool = False):
     """First-slot probe exchange on band 1.
 
     Returns ``(H_A1, H_B1)``: the estimate measured by each party.  The two
@@ -201,8 +190,7 @@ def measure_round(env: Environment, slot: int, stream: Stream, swap_roles: bool 
     transmits first), which together with swapped fingerprints realizes the
     label-swap symmetry of the protocol exactly.
     """
-    time_s = slot * env.tau_s
-    direct, h_ar, h_rb = _band_responses(env, 0, time_s)
+    direct, h_ar, h_rb = _band_responses(env, 0)
     state_first, state_second = _slot_states(env, stream)
 
     def estimate(fp_resp, state, noise_idx):
@@ -222,7 +210,7 @@ def measure_round(env: Environment, slot: int, stream: Stream, swap_roles: bool 
     return h_a1, h_b1
 
 
-def loopback_combine(first_round, env: Environment, slot: int, stream: Stream, swap_roles: bool = False):
+def loopback_combine(first_round, env: Environment, stream: Stream, swap_roles: bool = False):
     """Second-slot retransmission of the first-slot estimates on band 2.
 
     Each party modulates the pilot with the estimate it obtained in the
@@ -232,8 +220,7 @@ def loopback_combine(first_round, env: Environment, slot: int, stream: Stream, s
     ratio.  Returns ``(H_A, H_B)``, the mutual estimates at each party.
     """
     h_a1, h_b1 = first_round
-    time_s = slot * env.tau_s
-    direct, h_ar, h_rb = _band_responses(env, 3, time_s)
+    direct, h_ar, h_rb = _band_responses(env, 3)
     state_first, state_second = _slot_states(env, stream)
 
     def relay(carried, fp_resp, state, noise_idx):
@@ -331,12 +318,12 @@ def run_round(
     if scheme is Scheme.LOCKEY and gamma is None:
         raise ValueError("the compensated scheme requires a gamma (array, scalar, or GAMMA_PER_ROUND)")
 
-    first = measure_round(env, 0, substream(stream, 0), swap_roles=swap_roles)
+    first = measure_round(env, substream(stream, 0), swap_roles=swap_roles)
     if scheme is Scheme.NON_LOOPBACK:
         h_a1, h_b1 = first
         return RoundResult(scheme, h_a1, h_b1, None)
 
-    h_a, h_b = loopback_combine(first, env, 1, substream(stream, 1), swap_roles=swap_roles)
+    h_a, h_b = loopback_combine(first, env, substream(stream, 1), swap_roles=swap_roles)
     if scheme is Scheme.LOOPBACK:
         return RoundResult(scheme, h_a, h_b, None)
 

@@ -68,8 +68,7 @@ def test_criterion_01_hardware_cancellation_exactness():
     rel = 0.0
     for trials in (None, 256):
         env = build_environment(
-            config.ofdm, config.profiles, 30, JammerConfig(0),
-            0.0, None, config.tau_s, (101,), trials=trials,
+            config.ofdm, config.profiles, 30, JammerConfig(0), None, (101,), trials=trials,
         )
         result = run_round(Scheme.LOOPBACK, env, None, (102,))
         scale = np.max(np.abs(result.key_source_bob), axis=-1)

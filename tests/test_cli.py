@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from lockeysim import analysis
 from lockeysim.cli import main
 
 
@@ -85,3 +87,20 @@ class TestOracle:
             main(["oracle", "--samples", samples])
         assert exit_info.value.code == 2
         assert "--samples" in capsys.readouterr().err
+
+    def test_gamma_check_fails_on_a_perturbed_closed_form(self, monkeypatch, capsys):
+        # the third prediction-scalar set has distinct sides, so its sampled
+        # estimate carries information and an offset closed form is caught
+        stats = analysis.ModelStats(0.7, 1.2, 0.2, 0.6, 1.0, 1.5)
+        x, y = analysis.sample_loopback_pairs(stats, 1000, 1)
+        assert not np.allclose(x, y)
+        exact = analysis.gamma_analytic
+
+        def offset(s):
+            return exact(s) + 0.05 if s == stats else exact(s)
+
+        monkeypatch.setattr(analysis, "gamma_analytic", offset)
+        assert main(["oracle", "--samples", "30000"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] set 2: gamma" in out
+        assert out.count("[FAIL]") == 1

@@ -44,86 +44,65 @@ class TestTapProfile:
 
 
 class TestFadingProcess:
-    def test_rejects_negative_doppler(self):
-        with pytest.raises(ValueError):
-            make_fading_process(ALICE_BOB_PROFILE, -1.0, 0)
-
     def test_deterministic_given_stream(self):
-        p1 = make_fading_process(ALICE_RIS_PROFILE, 5.0, (42,))
-        p2 = make_fading_process(ALICE_RIS_PROFILE, 5.0, (42,))
-        np.testing.assert_array_equal(p1.gains(0.3), p2.gains(0.3))
+        p1 = make_fading_process(ALICE_RIS_PROFILE, (42,))
+        p2 = make_fading_process(ALICE_RIS_PROFILE, (42,))
+        np.testing.assert_array_equal(p1.gains, p2.gains)
 
     def test_per_tap_power_matches_profile(self):
-        # ensemble of independent realizations, evaluated at one instant
-        n = 100_000
-        powers = np.zeros(ALICE_RIS_PROFILE.n_taps)
-        for i in range(n):
-            g = make_fading_process(ALICE_RIS_PROFILE, 5.0, (100, i)).gains(0.37)
-            powers += np.abs(g) ** 2
-        powers /= n
-        measured_db = 10.0 * np.log10(powers)
+        # ensemble of independent realizations
+        gains = make_fading_process(ALICE_RIS_PROFILE, (100,), trials=100_000).gains
+        measured_db = 10.0 * np.log10(np.mean(np.abs(gains) ** 2, axis=0))
         np.testing.assert_allclose(measured_db, ALICE_RIS_PROFILE.powers_db, atol=0.2)
+
+    def test_taps_are_circular_gaussian(self):
+        # the closed forms assume circular complex Gaussian links: per-tap
+        # power as profiled, fourth moment 2 P^2, vanishing pseudo-moment
+        gains = make_fading_process(ALICE_RIS_PROFILE, (101,), trials=100_000).gains
+        power = np.mean(np.abs(gains) ** 2, axis=0)
+        np.testing.assert_allclose(10.0 * np.log10(power), ALICE_RIS_PROFILE.powers_db, atol=0.2)
+        kurtosis = np.mean(np.abs(gains) ** 4 / power ** 2)
+        assert kurtosis == pytest.approx(2.0, abs=0.02)
+        assert np.max(np.abs(np.mean(gains ** 2, axis=0)) / power) < 0.01
 
     def test_single_tap_unit_power_doppler0_is_constant_flat(self):
         profile = TapProfile((0.0,), (0.0,))
-        process = make_fading_process(profile, 0.0, (7,))
+        process = make_fading_process(profile, (7,))
         freqs = np.arange(0, 64) * 15e3
-        h0 = frequency_response(process, 0.0, freqs)
-        h1 = frequency_response(process, 12.3, freqs)
-        np.testing.assert_array_equal(h0, h1)
+        h0 = frequency_response(process, freqs)
         # flat: the single gain appears at every subcarrier
         np.testing.assert_allclose(h0, h0[0])
         # unit variance over an ensemble
-        samples = [make_fading_process(profile, 0.0, (8, i)).gains(0.0)[0] for i in range(20_000)]
+        samples = make_fading_process(profile, (8,), trials=20_000).gains[:, 0]
         assert np.mean(np.abs(samples) ** 2) == pytest.approx(1.0, abs=0.03)
 
-    def test_doppler0_time_invariant(self):
-        process = make_fading_process(ALICE_BOB_PROFILE, 0.0, (3,))
-        freqs = np.arange(64) * 15e3
-        np.testing.assert_array_equal(
-            frequency_response(process, 0.0, freqs),
-            frequency_response(process, 5.0, freqs),
-        )
-
-    def test_doppler_moves_the_gains(self):
-        process = make_fading_process(ALICE_BOB_PROFILE, 5.0, (3,))
-        assert not np.allclose(process.gains(0.0), process.gains(0.05))
-
     def test_batched_realizations_are_independent_rows(self):
-        process = make_fading_process(ALICE_RIS_PROFILE, 5.0, (9,), trials=4000)
-        gains = process.gains(0.37)
-        assert gains.shape == (4000, ALICE_RIS_PROFILE.n_taps)
-        measured_db = 10.0 * np.log10(np.mean(np.abs(gains) ** 2, axis=0))
+        process = make_fading_process(ALICE_RIS_PROFILE, (9,), trials=4000)
+        assert process.gains.shape == (4000, ALICE_RIS_PROFILE.n_taps)
+        measured_db = 10.0 * np.log10(np.mean(np.abs(process.gains) ** 2, axis=0))
         np.testing.assert_allclose(measured_db, ALICE_RIS_PROFILE.powers_db, atol=0.5)
         freqs = np.arange(64) * 15e3
-        response = frequency_response(process, 0.37, freqs)
-        row = FadingProcess(ALICE_RIS_PROFILE, 5.0, process._amplitudes, process._angles[7], process._phases[7])
-        np.testing.assert_allclose(response[7], frequency_response(row, 0.37, freqs), rtol=1e-12)
-
-    def test_rejects_negative_time(self):
-        process = make_fading_process(ALICE_BOB_PROFILE, 5.0, (3,))
-        with pytest.raises(ValueError):
-            process.gains(-1.0)
+        response = frequency_response(process, freqs)
+        row = FadingProcess(ALICE_RIS_PROFILE, process.gains[7])
+        np.testing.assert_allclose(response[7], frequency_response(row, freqs), rtol=1e-12)
 
 
 class TestFrequencyResponse:
     def test_tap_sum_oracle(self):
-        # brute-force summation over taps at a fixed time
-        process = make_fading_process(ALICE_BOB_PROFILE, 5.0, (11,))
-        time_s = 0.123
+        # brute-force summation over taps
+        process = make_fading_process(ALICE_BOB_PROFILE, (11,))
         freqs = np.arange(64) * 15e3
-        gains = process.gains(time_s)
         expected = np.array([
             sum(g * np.exp(-2j * np.pi * f * d)
-                for g, d in zip(gains, process.profile.delays_s))
+                for g, d in zip(process.gains, process.profile.delays_s))
             for f in freqs
         ])
-        np.testing.assert_allclose(frequency_response(process, time_s, freqs), expected)
+        np.testing.assert_allclose(frequency_response(process, freqs), expected)
 
     def test_rejects_non_finite_freqs(self):
-        process = make_fading_process(ALICE_BOB_PROFILE, 0.0, (1,))
+        process = make_fading_process(ALICE_BOB_PROFILE, (1,))
         with pytest.raises(ValueError):
-            frequency_response(process, 0.0, [np.inf])
+            frequency_response(process, [np.inf])
 
 
 class TestFingerprint:

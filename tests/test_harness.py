@@ -41,7 +41,6 @@ class TestLoadConfig:
         assert config.ofdm.symbol_length == 64
         assert config.ofdm.subcarrier_spacing_hz == 15e3
         assert config.ofdm.pilot_interval == 5
-        assert config.max_doppler_hz == 5.0
         assert config.n_units == 30
         assert config.trials == 1000
         assert config.snr_grid_db == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
@@ -78,6 +77,15 @@ class TestLoadConfig:
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="ris.attacked_unitz"):
             build_config({"ris.attacked_unitz": 3})
+
+    @pytest.mark.parametrize("key, value", [("fading.max_doppler_hz", 5.0), ("protocol.tau_ms", 1.0),
+                                            ("keygen.metric", "both")])
+    def test_deleted_key_named(self, key, value, tmp_path):
+        # a config file written for the removed Doppler model or column mask
+        path = tmp_path / "old.yaml"
+        path.write_text(f"{key}: {value}\n")
+        with pytest.raises(ConfigError, match=f"unknown configuration keys: {key}"):
+            load_config(str(path))
 
     def test_bad_scheme_named(self):
         with pytest.raises(ConfigError, match="harness.schemes"):
@@ -275,12 +283,6 @@ class TestMetricsColumns:
         high = model_stats_for_cell(config, 20.0, 30)
         assert high.var_ab == pytest.approx(100.0 * low.var_ab)
         assert low.a == 0.0 and low.b == 0.0
-
-    def test_metric_selection_masks_columns(self):
-        config = tiny_config(**{"keygen.metric": "bit_rate", "harness.trials": 10})
-        row = run_cell(config, Scheme.LOOPBACK, 10.0, 30, 5)
-        assert not math.isnan(row.csk_bits)
-        assert math.isnan(row.csk_info)
 
     def test_configured_aggregate_means_match_generator(self):
         # the zero means fed to the closed forms agree with the measured

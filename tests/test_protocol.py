@@ -22,15 +22,13 @@ from lockeysim.protocol import (
 CFG = build_config({})
 
 
-def make_env(attacked=0, snr_db=None, doppler=0.0, n_units=30, stream=(1,), profiles=None, trials=None):
+def make_env(attacked=0, snr_db=None, n_units=30, stream=(1,), profiles=None, trials=None):
     return build_environment(
         CFG.ofdm,
         profiles or CFG.profiles,
         n_units,
         JammerConfig(attacked),
-        doppler,
         snr_db,
-        CFG.tau_s,
         stream,
         trials=trials,
     )
@@ -50,13 +48,13 @@ class TestMeasureRound:
     def test_perfect_reciprocity(self):
         # no jamming, identity filters, noiseless: both parties see the same
         env = make_env(profiles=identity_profiles())
-        h_a1, h_b1 = measure_round(env, 0, (2,))
+        h_a1, h_b1 = measure_round(env, (2,))
         np.testing.assert_allclose(h_a1, h_b1, rtol=1e-12)
 
     def test_fingerprint_ratio_oracle(self):
         # with equal surface aggregates the estimate ratio is the filter ratio
         env = make_env()
-        h_a1, h_b1 = measure_round(env, 0, (3,))
+        h_a1, h_b1 = measure_round(env, (3,))
         positions = env.ofdm.pilot_positions
         freqs = env.ofdm.subcarrier_freqs[positions]
         expected = (
@@ -73,12 +71,12 @@ class TestMeasureRound:
 
         env = make_env(attacked=30, profiles=identity_profiles())
         stream = (4,)
-        h_a1, h_b1 = measure_round(env, 0, stream)
+        h_a1, h_b1 = measure_round(env, stream)
         freqs = env.ofdm.subcarrier_freqs
         state_first = random_ris_state(30, substream(stream, 0))
         state_second = apply_jamming(state_first, env.jammer, substream(stream, 1))
-        cascade = frequency_response(env.band1.alice_ris, 0.0, freqs) * frequency_response(
-            env.band1.ris_bob, 0.0, freqs
+        cascade = frequency_response(env.band1.alice_ris, freqs) * frequency_response(
+            env.band1.ris_bob, freqs
         )
         expected = cascade * (aggregate_phase(state_second) - aggregate_phase(state_first))
         positions = env.ofdm.pilot_positions
@@ -97,14 +95,14 @@ class TestLoopbackCombine:
         env = make_env(n_units=1, profiles=profiles)
         # switch every unit off by attacking none and zeroing on_off is not
         # exposed; instead verify the product structure with the unit cascade
-        first = measure_round(env, 0, (5,))
-        h_a, h_b = loopback_combine(first, env, 1, (6,))
+        first = measure_round(env, (5,))
+        h_a, h_b = loopback_combine(first, env, (6,))
         np.testing.assert_allclose(h_a, h_b, rtol=1e-12)
 
     def test_hardware_cancellation_any_fingerprints(self):
         # distinct filters, static channels, no jamming, noiseless:
         # the loop-back pair agrees to machine precision
-        env = make_env(doppler=0.0)
+        env = make_env()
         result = run_round(Scheme.LOOPBACK, env, None, (7,))
         scale = np.max(np.abs(result.key_source_bob))
         diff = np.max(np.abs(result.key_source_alice - result.key_source_bob))
@@ -119,14 +117,13 @@ class TestLoopbackCombine:
 
         env = make_env(attacked=7)
         stream_t, stream_tau = (8,), (9,)
-        h_a1, h_b1 = measure_round(env, 0, stream_t)
-        h_a, h_b = loopback_combine((h_a1, h_b1), env, 1, stream_tau)
+        h_a1, h_b1 = measure_round(env, stream_t)
+        h_a, h_b = loopback_combine((h_a1, h_b1), env, stream_tau)
 
         freqs = env.ofdm.subcarrier_freqs
-        t2 = env.tau_s
-        direct = frequency_response(env.band2.alice_bob, t2, freqs)
-        cascade = frequency_response(env.band2.alice_ris, t2, freqs) * frequency_response(
-            env.band2.ris_bob, t2, freqs
+        direct = frequency_response(env.band2.alice_bob, freqs)
+        cascade = frequency_response(env.band2.alice_ris, freqs) * frequency_response(
+            env.band2.ris_bob, freqs
         )
         state_first = random_ris_state(30, substream(stream_tau, 0))
         state_second = apply_jamming(state_first, env.jammer, substream(stream_tau, 1))
@@ -225,7 +222,7 @@ class TestRunRound:
             run_round(Scheme.LOCKEY, env, "sometimes", (12,))
 
     def test_determinism(self):
-        env = make_env(attacked=5, snr_db=10.0, doppler=5.0)
+        env = make_env(attacked=5, snr_db=10.0)
         r1 = run_round(Scheme.LOCKEY, env, GAMMA_PER_ROUND, (13,))
         r2 = run_round(Scheme.LOCKEY, env, GAMMA_PER_ROUND, (13,))
         np.testing.assert_array_equal(r1.key_source_alice, r2.key_source_alice)
@@ -241,7 +238,7 @@ class TestRunRound:
         locked, plain = [], []
         for i in range(n):
             env = build_environment(
-                cfg.ofdm, cfg.profiles, 30, JammerConfig(10), 5.0, 15.0, cfg.tau_s, (14, i)
+                cfg.ofdm, cfg.profiles, 30, JammerConfig(10), 15.0, (14, i)
             )
             r_lb = run_round(Scheme.LOOPBACK, env, None, (15, i))
             r_lk = run_round(Scheme.LOCKEY, env, GAMMA_PER_ROUND, (15, i))
@@ -258,7 +255,7 @@ class TestRunRound:
     def test_batched_round_gamma_is_fitted_per_row(self):
         # 64 trials: the per-round scalars have the length of a subcarrier
         # vector, so only their (trials, 1) shape keeps them per row
-        env = make_env(attacked=5, snr_db=20.0, doppler=5.0, trials=64)
+        env = make_env(attacked=5, snr_db=20.0, trials=64)
         plain = run_round(Scheme.LOOPBACK, env, None, (22,))
         locked = run_round(Scheme.LOCKEY, env, GAMMA_PER_ROUND, (22,))
         positions = env.ofdm.pilot_positions
@@ -288,8 +285,7 @@ class TestLoopbackConvergence:
         xs, ys = [], []
         for i in range(150):
             env = build_environment(
-                CFG.ofdm, profiles, 30, JammerConfig(0),
-                5.0, 40.0, CFG.tau_s, (20, i),
+                CFG.ofdm, profiles, 30, JammerConfig(0), 40.0, (20, i),
             )
             result = run_round(Scheme.LOOPBACK, env, None, (21, i))
             xs.append(pilot_values(result.key_source_alice, CFG.ofdm))
@@ -305,21 +301,21 @@ def swapped_environment(env):
 
 class TestLabelSwapSymmetry:
     def test_measure_round_swaps_exactly(self):
-        env = make_env(attacked=5, snr_db=10.0, doppler=5.0)
-        h_a1, h_b1 = measure_round(env, 0, (17,))
-        s_a1, s_b1 = measure_round(swapped_environment(env), 0, (17,), swap_roles=True)
+        env = make_env(attacked=5, snr_db=10.0)
+        h_a1, h_b1 = measure_round(env, (17,))
+        s_a1, s_b1 = measure_round(swapped_environment(env), (17,), swap_roles=True)
         np.testing.assert_array_equal(s_a1, h_b1)
         np.testing.assert_array_equal(s_b1, h_a1)
 
     def test_full_round_swaps_exactly(self):
-        env = make_env(attacked=5, snr_db=10.0, doppler=5.0)
+        env = make_env(attacked=5, snr_db=10.0)
         normal = run_round(Scheme.LOOPBACK, env, None, (18,))
         swapped = run_round(Scheme.LOOPBACK, swapped_environment(env), None, (18,), swap_roles=True)
         np.testing.assert_array_equal(swapped.key_source_alice, normal.key_source_bob)
         np.testing.assert_array_equal(swapped.key_source_bob, normal.key_source_alice)
 
     def test_batched_round_swaps_exactly(self):
-        env = make_env(attacked=5, snr_db=10.0, doppler=5.0, trials=16)
+        env = make_env(attacked=5, snr_db=10.0, trials=16)
         for scheme in (Scheme.NON_LOOPBACK, Scheme.LOOPBACK):
             normal = run_round(scheme, env, None, (20,))
             swapped = run_round(scheme, swapped_environment(env), None, (20,), swap_roles=True)
@@ -328,7 +324,7 @@ class TestLabelSwapSymmetry:
             np.testing.assert_array_equal(swapped.key_source_bob, normal.key_source_alice)
 
     def test_lockey_swap_compensates_the_swapped_side(self):
-        env = make_env(attacked=5, snr_db=10.0, doppler=5.0)
+        env = make_env(attacked=5, snr_db=10.0)
         normal = run_round(Scheme.LOOPBACK, env, None, (19,))
         swapped = run_round(
             Scheme.LOCKEY, swapped_environment(env), GAMMA_PER_ROUND, (19,), swap_roles=True

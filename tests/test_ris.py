@@ -104,24 +104,17 @@ class TestApplyJamming:
             apply_jamming(state, JammerConfig(31), (15,))
 
     def test_full_attack_decorrelates_aggregates(self):
-        n = 100_000
-        up = np.empty(n, dtype=complex)
-        down = np.empty(n, dtype=complex)
-        for i in range(n):
-            state = random_ris_state(30, (16, i))
-            up[i] = aggregate_phase(state)
-            down[i] = aggregate_phase(apply_jamming(state, JammerConfig(30), (17, i)))
+        state = random_ris_state(30, (16,), trials=100_000)
+        up = aggregate_phase(state)
+        down = aggregate_phase(apply_jamming(state, JammerConfig(30), (17,)))
         rho = np.mean(up * np.conj(down)) / (
             np.sqrt(np.mean(np.abs(up) ** 2)) * np.sqrt(np.mean(np.abs(down) ** 2))
         )
         assert abs(rho) < 0.02
 
     def test_aggregate_mean_vanishes_over_rerandomization(self):
-        n = 100_000
-        total = 0j
-        for i in range(n):
-            total += aggregate_phase(random_ris_state(1, (18, i)))
-        assert abs(total / n) < 0.02
+        aggregates = aggregate_phase(random_ris_state(1, (18,), trials=100_000))
+        assert abs(np.mean(aggregates)) < 0.02
 
 
 class TestCascadedGain:

@@ -201,15 +201,9 @@ def test_criterion_08_key_rate_ordering_information():
                              for s, (a, b, c) in zip(SNR_GRID, triples)))
 
 
-@pytest.mark.xfail(
-    strict=False,
-    reason="at the bottom of the grid the two baselines' bit rates tie: the "
-    "uncompensated loop-back's shared heavy-tailed magnitude randomness "
-    "offsets the plain exchange's correlation advantage once noise "
-    "dominates, and the sign of the gap flips with the seed",
-)
 def test_criterion_08_key_rate_ordering_bit_rate():
-    """Bit-count key-rate ordering at every grid point."""
+    """Bit-count key-rate ordering at every grid point, except the order of
+    the two baselines at the lowest SNR, which is the next test's clause."""
     rows = _by_cell(_sweep("fig5c", jobs=1))
     triples = [
         (rows[("lockey", s, 30, 5)].csk_bits,
@@ -217,10 +211,32 @@ def test_criterion_08_key_rate_ordering_bit_rate():
          rows[("loopback", s, 30, 5)].csk_bits)
         for s in SNR_GRID
     ]
-    ok = all(a > b > c for a, b, c in triples)
+    ok = all(a > max(b, c) for a, b, c in triples)
+    ok &= all(b > c for s, (_, b, c) in zip(SNR_GRID, triples)
+              if s > SNR_GRID[0])
     _report("criterion 8 (key-rate ordering, bit rate)", ok,
             "; ".join(f"{s:.0f}dB {a:.3f}/{b:.3f}/{c:.3f}"
                       for s, (a, b, c) in zip(SNR_GRID, triples)))
+    assert ok
+
+
+@pytest.mark.xfail(
+    strict=False,
+    reason="at the bottom of the grid the two baselines' bit rates tie: the "
+    "uncompensated loop-back's shared heavy-tailed magnitude randomness "
+    "offsets the plain exchange's correlation advantage once noise "
+    "dominates, and the sign of the gap flips with the seed",
+)
+def test_criterion_08_baseline_bit_rates_at_lowest_snr():
+    """The plain exchange's bit rate beats the uncompensated loop-back's at
+    the lowest SNR too."""
+    rows = _by_cell(_sweep("fig5c", jobs=1))
+    s = SNR_GRID[0]
+    b = rows[("non_loopback", s, 30, 5)].csk_bits
+    c = rows[("loopback", s, 30, 5)].csk_bits
+    ok = b > c
+    _report("criterion 8 (baseline bit rates at lowest SNR)", ok,
+            f"{s:.0f}dB {b:.3f}/{c:.3f}")
     assert ok
 
 

@@ -13,7 +13,6 @@ from lockeysim.fading import (
     ALICE_HF_PROFILE,
     ALICE_RIS_PROFILE,
     BOB_HF_PROFILE,
-    HardwareFingerprint,
     fingerprint_response,
     frequency_response,
     make_fading_process,
@@ -33,7 +32,7 @@ print(f"  E|g|^4 / (E|g|^2)^2 = {kurtosis:.3f} (2 for circular complex Gaussian 
 
 print("\n== hardware filter responses across the band (time-invariant) ==")
 for name, profile in (("alice", ALICE_HF_PROFILE), ("bob", BOB_HF_PROFILE)):
-    response = fingerprint_response(HardwareFingerprint(profile), freqs)
+    response = fingerprint_response(profile, freqs)
     print(f"  {name}: |F| range [{np.min(np.abs(response)):.3f}, {np.max(np.abs(response)):.3f}], "
           f"phase drift across band {np.angle(response[-1]) - np.angle(response[0]):+.3f} rad")
 

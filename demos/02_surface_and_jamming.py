@@ -7,7 +7,7 @@ decorrelates the uplink and downlink aggregates.
 
 import numpy as np
 
-from lockeysim.ris import JammerConfig, aggregate_phase, apply_jamming, random_ris_state
+from lockeysim.ris import aggregate_phase, apply_jamming, random_ris_state
 
 N = 30
 
@@ -21,7 +21,7 @@ print("\n== uplink/downlink correlation vs attacked units ==")
 for attacked in (0, 5, 20, 30):
     state = random_ris_state(N, (2, attacked), trials=20_000)
     up = aggregate_phase(state)
-    down = aggregate_phase(apply_jamming(state, JammerConfig(attacked), (3, attacked)))
+    down = aggregate_phase(apply_jamming(state, attacked, (3, attacked)))
     rho = np.mean(up * np.conj(down)) / np.mean(np.abs(up) ** 2)
     print(f"  attacked {attacked:2d}/{N}: corr(Phi_up, Phi_down) = {rho.real:+.3f} "
           f"(kept fraction {(N - attacked) / N:.3f})")

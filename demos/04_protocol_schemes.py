@@ -13,7 +13,6 @@ from lockeysim.config import build_config
 from lockeysim.ofdm import pilot_values
 from lockeysim.protocol import (
     GAMMA_PER_ROUND,
-    JammerConfig,
     Scheme,
     build_environment,
     run_round,
@@ -22,13 +21,13 @@ from lockeysim.protocol import (
 config = build_config({})
 
 print("== hardware cancellation without an attack (noiseless) ==")
-env = build_environment(config.ofdm, config.profiles, 30, JammerConfig(0), None, (1,))
+env = build_environment(config.ofdm, config.profiles, 30, 0, None, (1,))
 result = run_round(Scheme.LOOPBACK, env, None, (2,))
 gap = np.max(np.abs(result.key_source_alice - result.key_source_bob))
 print(f"  distinct direction filters, yet max |H_A - H_B| = {gap:.2e}")
 
 print("\n== key-source correlation under jamming (5 of 30 units, 10 dB) ==")
-env = build_environment(config.ofdm, config.profiles, 30, JammerConfig(5), 10.0, (3,), trials=400)
+env = build_environment(config.ofdm, config.profiles, 30, 5, 10.0, (3,), trials=400)
 for scheme in Scheme:
     gamma = GAMMA_PER_ROUND if scheme is Scheme.LOCKEY else None
     r = run_round(scheme, env, gamma, (4,))

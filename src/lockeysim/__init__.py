@@ -25,7 +25,6 @@ from .config import ConfigError, ExperimentConfig, build_config, load_config
 from .fading import (
     DEFAULT_PROFILES,
     FadingProcess,
-    HardwareFingerprint,
     TapProfile,
     add_awgn,
     fingerprint_response,
@@ -49,7 +48,6 @@ from .protocol import (
     run_round,
 )
 from .ris import (
-    JammerConfig,
     RisState,
     aggregate_phase,
     apply_jamming,

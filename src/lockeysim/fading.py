@@ -160,22 +160,13 @@ def frequency_response(process: FadingProcess, subcarrier_freqs) -> np.ndarray:
     return process.gains @ _steering(process.profile, _finite_freqs(subcarrier_freqs))
 
 
-@dataclass(frozen=True)
-class HardwareFingerprint:
-    """Fixed multi-tap filter of one transmission direction.
+def fingerprint_response(profile: TapProfile, subcarrier_freqs) -> np.ndarray:
+    """Time-invariant per-subcarrier response of a hardware filter.
 
-    The tap amplitudes are the square roots of the profile's linear powers
-    with zero phase, so the frequency response is a constant of the device
-    pair and direction; it never varies with simulation time.
+    The filter's tap amplitudes are the square roots of the profile's
+    linear powers with zero phase, so the response is a constant of the
+    device and transmission direction; it never varies with simulation time.
     """
-
-    profile: TapProfile
-    direction: str = ""
-
-
-def fingerprint_response(fingerprint: HardwareFingerprint, subcarrier_freqs) -> np.ndarray:
-    """Time-invariant per-subcarrier response of a hardware filter."""
-    profile = fingerprint.profile
     return np.sqrt(profile.linear_powers) @ _steering(profile, _finite_freqs(subcarrier_freqs))
 
 

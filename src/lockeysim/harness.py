@@ -18,10 +18,9 @@ import numpy as np
 from . import analysis, keygen
 from ._rng import substream
 from .config import ExperimentConfig, build_config
-from .fading import HardwareFingerprint, fingerprint_response
+from .fading import fingerprint_response
 from .ofdm import pilot_values
 from .protocol import GAMMA_PER_ROUND, RoundResult, Scheme, build_environment, estimate_gamma, run_round
-from .ris import JammerConfig
 
 #: Tags separating the measurement block from the training block in the
 #: per-cell stream derivation.
@@ -79,7 +78,7 @@ def _run_block(config: ExperimentConfig, scheme: Scheme, snr_db, n_units, attack
         config.ofdm,
         config.profiles,
         n_units,
-        JammerConfig(attacked),
+        attacked,
         snr_db,
         substream(stream, 0),
         noise_ref=config.noise_ref,
@@ -104,10 +103,8 @@ def model_stats_for_cell(config: ExperimentConfig, snr_db: float, n_units: int) 
     the surface module's invariants pin down.
     """
     freqs = config.ofdm.subcarrier_freqs[config.ofdm.pilot_positions]
-    g_a = float(np.mean(np.abs(fingerprint_response(
-        HardwareFingerprint(config.profiles["alice_hf"]), freqs)) ** 2))
-    g_b = float(np.mean(np.abs(fingerprint_response(
-        HardwareFingerprint(config.profiles["bob_hf"]), freqs)) ** 2))
+    g_a = float(np.mean(np.abs(fingerprint_response(config.profiles["alice_hf"], freqs)) ** 2))
+    g_b = float(np.mean(np.abs(fingerprint_response(config.profiles["bob_hf"], freqs)) ** 2))
     var_ab = config.profiles["alice_bob"].total_power
     var_arb = config.profiles["alice_ris"].total_power * config.profiles["ris_bob"].total_power
     ref = config.noise_ref

@@ -29,15 +29,9 @@ import numpy as np
 
 from ._rng import Stream, substream
 from .analysis import DegenerateSampleError
-from .fading import (
-    FadingProcess,
-    HardwareFingerprint,
-    fingerprint_response,
-    frequency_response,
-    make_fading_process,
-)
+from .fading import FadingProcess, fingerprint_response, frequency_response, make_fading_process
 from .ofdm import OfdmConfig, generate_pilot, ls_estimate, probe
-from .ris import JammerConfig, apply_jamming, cascaded_gain, random_ris_state
+from .ris import apply_jamming, cascaded_gain, random_ris_state
 
 
 class Scheme(enum.Enum):
@@ -55,15 +49,6 @@ GAMMA_PER_ROUND = "per_round"
 Gamma = Union[complex, np.ndarray, str]
 
 
-@dataclass(frozen=True, eq=False)
-class BandChannels:
-    """Fading realizations of the three links on one frequency band."""
-
-    alice_bob: FadingProcess
-    alice_ris: FadingProcess
-    ris_bob: FadingProcess
-
-
 #: Links of a band, in the order of their stream indices.
 _BAND_LINKS = ("alice_bob", "alice_ris", "ris_bob")
 
@@ -74,17 +59,18 @@ class Environment:
     spanning both coherence slots.
 
     The fading is not stored: each link's realization is drawn from the
-    environment's stream when a slot (or `band1` / `band2`) reads it.  The
-    same stream always gives the same realization.
+    environment's stream when a slot reads it.  The same stream always
+    gives the same realization.  `profiles` also holds each direction's
+    hardware filter: ``alice_hf`` for Alice's transmissions, ``bob_hf`` for
+    Bob's.  `attacked` units of the surface are re-randomized between the
+    two probes of each slot.
     """
 
     ofdm: OfdmConfig
     profiles: dict
     stream: Stream
-    fp_ab: HardwareFingerprint
-    fp_ba: HardwareFingerprint
     n_units: int
-    jammer: JammerConfig
+    attacked: int
     snr_db: Optional[float]
     pilot: np.ndarray
     noise_ref: Optional[float] = 1.0
@@ -93,30 +79,14 @@ class Environment:
     def __post_init__(self):
         if self.n_units < 1:
             raise ValueError("n_units must be >= 1")
-        if self.jammer.attacked_count > self.n_units:
-            raise ValueError("jammer attacks more units than the surface has")
+        if not 0 <= self.attacked <= self.n_units:
+            raise ValueError(f"attacked must lie in [0, n_units={self.n_units}], got {self.attacked}")
 
     def _link(self, index: int) -> FadingProcess:
         """Fading of link ``_BAND_LINKS[index % 3]`` on band ``index // 3 + 1``,
         drawn from stream index `index`."""
         return make_fading_process(self.profiles[_BAND_LINKS[index % 3]], substream(self.stream, index),
                                    self.trials)
-
-    @property
-    def band1(self) -> BandChannels:
-        return BandChannels(*map(self._link, range(0, 3)))
-
-    @property
-    def band2(self) -> BandChannels:
-        return BandChannels(*map(self._link, range(3, 6)))
-
-    @property
-    def fp_ab_response(self) -> np.ndarray:
-        return fingerprint_response(self.fp_ab, self.ofdm.subcarrier_freqs)
-
-    @property
-    def fp_ba_response(self) -> np.ndarray:
-        return fingerprint_response(self.fp_ba, self.ofdm.subcarrier_freqs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +103,7 @@ def build_environment(
     ofdm: OfdmConfig,
     profiles: dict,
     n_units: int,
-    jammer: JammerConfig,
+    attacked: int,
     snr_db: Optional[float],
     stream: Stream,
     noise_ref: Optional[float] = 1.0,
@@ -152,10 +122,8 @@ def build_environment(
         ofdm=ofdm,
         profiles=profiles,
         stream=stream,
-        fp_ab=HardwareFingerprint(profiles["alice_hf"], "a->b"),
-        fp_ba=HardwareFingerprint(profiles["bob_hf"], "b->a"),
         n_units=n_units,
-        jammer=jammer,
+        attacked=attacked,
         snr_db=snr_db,
         pilot=pilot,
         noise_ref=noise_ref,
@@ -163,55 +131,49 @@ def build_environment(
     )
 
 
-def _band_responses(env: Environment, first_link: int):
-    """``(direct, h_ar, h_rb)`` of the band whose links start at stream index
-    `first_link`."""
+def _exchange(env: Environment, first_link: int, stream: Stream, probes):
+    """The two probes of one coherence slot, on the band whose links start at
+    stream index `first_link`.
+
+    `probes` yields the ``(sender, symbols)`` pair of each probe in the order
+    they are sent; the sender, ``"alice"`` or ``"bob"``, selects the
+    transmit filter.  Both probes share one fading realization per link
+    (reciprocity within the slot), while the second sees the jammed version
+    of the first probe's surface configuration.  Returns the receivers'
+    least-squares estimates in probe order.
+    """
     freqs = env.ofdm.subcarrier_freqs
-    return tuple(frequency_response(env._link(i), freqs) for i in range(first_link, first_link + 3))
-
-
-def _slot_states(env: Environment, stream: Stream):
-    """Surface configuration of a slot's first probe, and the (possibly
-    jammed) configuration its second probe sees."""
+    direct, h_ar, h_rb = (frequency_response(env._link(i), freqs) for i in range(first_link, first_link + 3))
     first = random_ris_state(env.n_units, substream(stream, 0), env.trials)
-    second = apply_jamming(first, env.jammer, substream(stream, 1))
-    return first, second
+    states = (first, apply_jamming(first, env.attacked, substream(stream, 1)))
+    return tuple(
+        ls_estimate(probe(
+            symbols, direct, cascaded_gain(h_ar, h_rb, state),
+            fingerprint_response(env.profiles[f"{sender}_hf"], freqs), env.snr_db,
+            substream(stream, noise_index), ref_power=env.noise_ref,
+        ), env.pilot, env.ofdm)
+        for noise_index, state, (sender, symbols) in zip((2, 3), states, probes)
+    )
 
 
 def measure_round(env: Environment, stream: Stream, swap_roles: bool = False):
-    """First-slot probe exchange on band 1.
+    """First-slot probe exchange of the pilot on band 1, Alice probing first.
 
-    Returns ``(H_A1, H_B1)``: the estimate measured by each party.  The two
-    probes share one fading realization per link (reciprocity within the
-    coherence slot) while the surface configuration of the second probe is
-    the jammed version of the first.
+    Returns ``(H_A1, H_B1)``: the estimate measured by each party.
 
-    With ``swap_roles`` the probe order is reversed (the second party
-    transmits first), which together with swapped fingerprints realizes the
-    label-swap symmetry of the protocol exactly.
+    With ``swap_roles`` the probe order is reversed (Bob transmits first),
+    which together with swapped direction filters realizes the label-swap
+    symmetry of the protocol exactly.
     """
-    direct, h_ar, h_rb = _band_responses(env, 0)
-    state_first, state_second = _slot_states(env, stream)
-
-    def estimate(fp_resp, state, noise_idx):
-        cascaded = cascaded_gain(h_ar, h_rb, state)
-        received = probe(
-            env.pilot, direct, cascaded, fp_resp, env.snr_db,
-            substream(stream, noise_idx), ref_power=env.noise_ref,
-        )
-        return ls_estimate(received, env.pilot, env.ofdm)
-
-    if not swap_roles:
-        h_b1 = estimate(env.fp_ab_response, state_first, 2)   # first probe: A -> B
-        h_a1 = estimate(env.fp_ba_response, state_second, 3)  # second probe: B -> A
-    else:
-        h_a1 = estimate(env.fp_ba_response, state_first, 2)   # first probe: B -> A
-        h_b1 = estimate(env.fp_ab_response, state_second, 3)  # second probe: A -> B
-    return h_a1, h_b1
+    order = ("bob", "alice") if swap_roles else ("alice", "bob")
+    first, second = _exchange(env, 0, stream, [(sender, env.pilot) for sender in order])
+    # each estimate belongs to the party that received the probe
+    return (first, second) if swap_roles else (second, first)
 
 
 def loopback_combine(first_round, env: Environment, stream: Stream, swap_roles: bool = False):
-    """Second-slot retransmission of the first-slot estimates on band 2.
+    """Second-slot retransmission of the first-slot estimates on band 2, Bob
+    looping back first (Alice first with ``swap_roles``).
 
     Each party modulates the pilot with the estimate it obtained in the
     first slot and sends it through the band-2 channel, so the peer's
@@ -220,24 +182,11 @@ def loopback_combine(first_round, env: Environment, stream: Stream, swap_roles: 
     ratio.  Returns ``(H_A, H_B)``, the mutual estimates at each party.
     """
     h_a1, h_b1 = first_round
-    direct, h_ar, h_rb = _band_responses(env, 3)
-    state_first, state_second = _slot_states(env, stream)
-
-    def relay(carried, fp_resp, state, noise_idx):
-        cascaded = cascaded_gain(h_ar, h_rb, state)
-        received = probe(
-            env.pilot * carried, direct, cascaded, fp_resp, env.snr_db,
-            substream(stream, noise_idx), ref_power=env.noise_ref,
-        )
-        return ls_estimate(received, env.pilot, env.ofdm)
-
-    if not swap_roles:
-        h_a = relay(h_b1, env.fp_ba_response, state_first, 2)   # B loops back first
-        h_b = relay(h_a1, env.fp_ab_response, state_second, 3)  # then A loops back
-    else:
-        h_b = relay(h_a1, env.fp_ab_response, state_first, 2)   # A loops back first
-        h_a = relay(h_b1, env.fp_ba_response, state_second, 3)  # then B loops back
-    return h_a, h_b
+    order = (("alice", h_a1), ("bob", h_b1)) if swap_roles else (("bob", h_b1), ("alice", h_a1))
+    # a generator: each payload is built when its probe is sent, so one
+    # (trials, symbol_length) payload is alive at a time
+    first, second = _exchange(env, 3, stream, ((sender, env.pilot * carried) for sender, carried in order))
+    return (second, first) if swap_roles else (first, second)
 
 
 def estimate_gamma(history_a, history_b, min_rounds: int = 200) -> np.ndarray:

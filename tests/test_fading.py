@@ -7,7 +7,6 @@ from lockeysim.fading import (
     BOB_HF_PROFILE,
     ALICE_BOB_PROFILE,
     FadingProcess,
-    HardwareFingerprint,
     TapProfile,
     add_awgn,
     fingerprint_response,
@@ -107,16 +106,14 @@ class TestFrequencyResponse:
 
 class TestFingerprint:
     def test_identity_fingerprint_all_ones(self):
-        fp = HardwareFingerprint(TapProfile((0.0,), (0.0,)))
         freqs = np.arange(64) * 15e3
-        np.testing.assert_allclose(fingerprint_response(fp, freqs), np.ones(64))
+        np.testing.assert_allclose(fingerprint_response(TapProfile((0.0,), (0.0,)), freqs), np.ones(64))
 
     def test_destructive_interference_two_taps(self):
         # two unit taps, second delayed by half a period of the probe tone
         f = 1.0  # Hz
         half_period_ms = 1e3 / (2.0 * f)
-        fp = HardwareFingerprint(TapProfile((0.0, half_period_ms), (0.0, 0.0)))
-        response = fingerprint_response(fp, [f])
+        response = fingerprint_response(TapProfile((0.0, half_period_ms), (0.0, 0.0)), [f])
         assert abs(response[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_tap_sum_oracle_alice_hf(self):
@@ -127,14 +124,13 @@ class TestFingerprint:
                 for a, d in zip(amplitudes, ALICE_HF_PROFILE.delays_s))
             for f in freqs
         ])
-        got = fingerprint_response(HardwareFingerprint(ALICE_HF_PROFILE), freqs)
+        got = fingerprint_response(ALICE_HF_PROFILE, freqs)
         np.testing.assert_allclose(got, expected)
 
     def test_repeated_calls_identical(self):
-        fp = HardwareFingerprint(BOB_HF_PROFILE, "b->a")
         freqs = np.arange(64) * 15e3
         np.testing.assert_array_equal(
-            fingerprint_response(fp, freqs), fingerprint_response(fp, freqs)
+            fingerprint_response(BOB_HF_PROFILE, freqs), fingerprint_response(BOB_HF_PROFILE, freqs)
         )
 
 

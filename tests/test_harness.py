@@ -291,8 +291,7 @@ class TestMetricsColumns:
 
         config = tiny_config()
         stats = model_stats_for_cell(config, 10.0, 30)
-        n = 20_000
-        measured = sum(aggregate_phase(random_ris_state(30, (77, i))) for i in range(n)) / n
+        measured = np.mean(aggregate_phase(random_ris_state(30, (77,), trials=20_000)))
         assert abs(measured - stats.a) < 0.05
         assert abs(measured - stats.b) < 0.05
 

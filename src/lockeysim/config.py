@@ -133,7 +133,7 @@ class ExperimentConfig:
         unit count and larger surfaces genuinely raise the received SNR.
         ``pilot``: unit reference (noise variance exactly
         ``10**(-snr/10)``).  ``measured``: the mean received power of each
-        probe.  A number is used as-is.
+        probe over the pilot subcarriers.  A number is used as-is.
         """
         if self.noise_ref_mode == "pilot":
             return 1.0

@@ -195,6 +195,8 @@ def add_awgn(signal, snr_db: Optional[float], stream: Stream, ref_power: Optiona
     if ref_power is None:
         ref_power = np.mean(np.abs(signal) ** 2, axis=-1, keepdims=True)
     noise_var = ref_power * 10.0 ** (-snr_db / 10.0)
-    rng = as_rng(stream)
-    noise = rng.standard_normal(signal.shape) + 1j * rng.standard_normal(signal.shape)
-    return signal + np.sqrt(noise_var / 2.0) * noise
+    # (re, im) pairs viewed as complex, scaled and shifted in place
+    noise = as_rng(stream).standard_normal((*signal.shape, 2)).view(complex)[..., 0]
+    noise *= np.sqrt(noise_var / 2.0)
+    noise += signal
+    return noise

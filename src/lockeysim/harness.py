@@ -19,7 +19,6 @@ from . import analysis, keygen
 from ._rng import substream
 from .config import ExperimentConfig, build_config
 from .fading import fingerprint_response
-from .ofdm import pilot_values
 from .protocol import GAMMA_PER_ROUND, RoundResult, Scheme, build_environment, estimate_gamma, run_round
 
 #: Tags separating the measurement block from the training block in the
@@ -102,7 +101,7 @@ def model_stats_for_cell(config: ExperimentConfig, snr_db: float, n_units: int) 
     are zero because the generator draws phases uniformly at random, which
     the surface module's invariants pin down.
     """
-    freqs = config.ofdm.subcarrier_freqs[config.ofdm.pilot_positions]
+    freqs = config.ofdm.pilot_freqs
     g_a = float(np.mean(np.abs(fingerprint_response(config.profiles["alice_hf"], freqs)) ** 2))
     g_b = float(np.mean(np.abs(fingerprint_response(config.profiles["bob_hf"], freqs)) ** 2))
     var_ab = config.profiles["alice_bob"].total_power
@@ -154,8 +153,8 @@ def _run_cell(config, scheme, snr_db, n_units, attacked):
         gamma = _train_gamma(config, snr_db, n_units, attacked)
 
     result = _run_block(config, scheme, snr_db, n_units, attacked, gamma, _MEASURE_TAG, config.trials)
-    alice = pilot_values(result.key_source_alice, config.ofdm)
-    bob = pilot_values(result.key_source_bob, config.ofdm)
+    alice = result.key_source_alice
+    bob = result.key_source_bob
 
     alice_flat = alice.ravel()
     bob_flat = bob.ravel()

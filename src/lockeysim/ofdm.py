@@ -3,13 +3,17 @@
 Everything happens in the frequency domain.  The cyclic prefix (16 samples
 at the 960 kHz occupied bandwidth, i.e. 16.7 us) exceeds the bundled delay
 spreads, so each subcarrier sees a purely multiplicative channel and no
-time-domain convolution is simulated.  Every function also works on a batch
-of symbols, one trial per row along a leading axis.
+time-domain convolution is simulated.  Subcarriers are therefore
+independent of each other, and only the pilot subcarriers (every
+`pilot_interval`-th of the `symbol_length`) carry an estimate a key is
+extracted from: pilots, probes and estimates hold one entry per pilot
+subcarrier, and the subcarriers between the pilots are never simulated.
+Every function also works on a batch of symbols, one trial per row along a
+leading axis.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -58,18 +62,24 @@ class OfdmConfig:
 
     @property
     def pilot_positions(self) -> np.ndarray:
-        """Subcarrier indices that carry a directly usable estimate."""
+        """Indices of the subcarriers that carry a pilot."""
         return np.arange(0, self.symbol_length, self.pilot_interval)
+
+    @property
+    def pilot_freqs(self) -> np.ndarray:
+        """Baseband offsets in Hz of the pilot subcarriers, the grid every probe uses."""
+        return self.subcarrier_freqs[self.pilot_positions]
 
 
 def generate_pilot(config: OfdmConfig, stream: Stream, trials: Optional[int] = None) -> np.ndarray:
-    """Unit-magnitude QPSK pilot symbols, one per subcarrier (and per trial).
+    """Unit-magnitude QPSK pilot symbols, one per pilot subcarrier (and per
+    trial): shape ``([trials,] pilot_positions.size)``.
 
     Both parties know the pilot, so the same stream id must be used for
     every probe of a round.
     """
     rng = as_rng(stream)
-    idx = rng.integers(0, 4, size=batch_shape(trials, config.symbol_length))
+    idx = rng.integers(0, 4, size=batch_shape(trials, config.pilot_positions.size))
     return _QPSK[idx]
 
 
@@ -91,7 +101,7 @@ def probe(
     1.0): its variance is ``10**(-snr_db/10)`` independent of the channel
     realization, matching a model that pins the noise variance and lets the
     channel carry the gain.  Pass ``ref_power=None`` to reference the SNR to
-    the mean received power instead.
+    the mean received power over the probed subcarriers instead.
     """
     pilot = np.asarray(pilot, dtype=complex)
     direct = np.asarray(direct, dtype=complex)
@@ -104,43 +114,16 @@ def probe(
 
 
 def ls_estimate(received, pilot, config: OfdmConfig) -> np.ndarray:
-    """Least-squares channel estimate from one received probe.
+    """Least-squares channel estimate from one received probe:
+    ``received / pilot`` on every pilot subcarrier.
 
-    At pilot subcarriers the estimate is ``received / pilot``.  The
-    remaining subcarriers are filled by linear interpolation between the
-    nearest pilot estimates (edge subcarriers extend the nearest pilot).
-    Only pilot positions carry independent information; key extraction uses
-    those, interpolated values exist for error-curve plotting.
+    `received` and `pilot` hold one entry per pilot subcarrier along the
+    last axis, ``config.pilot_positions.size`` of them.
     """
     received = np.asarray(received, dtype=complex)
     pilot = np.asarray(pilot, dtype=complex)
-    if received.shape != pilot.shape or received.shape[-1:] != (config.symbol_length,):
-        raise ValueError("received and pilot must have length symbol_length")
+    if received.shape != pilot.shape or received.shape[-1:] != config.pilot_positions.shape:
+        raise ValueError("received and pilot must have one entry per pilot subcarrier")
     if np.any(pilot == 0):
         raise ValueError("pilot symbols must be non-zero")
-    positions = config.pilot_positions
-    at_pilots = received[..., positions] / pilot[..., positions]
-    if positions.size == config.symbol_length:
-        return at_pilots
-    return at_pilots @ _interpolation_weights(config)
-
-
-@functools.lru_cache(maxsize=16)
-def _interpolation_weights(config: OfdmConfig) -> np.ndarray:
-    """Read-only ``(pilots, symbol_length)`` linear-interpolation matrix.
-
-    Column k holds the weights of subcarrier k on its two neighbouring
-    pilots (a one-hot column at a pilot, the nearest pilot beyond the last
-    one), the same line ``np.interp`` draws.  Cached by value: it depends
-    only on the configuration.
-    """
-    positions = config.pilot_positions
-    every = np.arange(config.symbol_length)
-    weights = np.array([np.interp(every, positions, unit) for unit in np.eye(positions.size)], dtype=complex)
-    weights.setflags(write=False)
-    return weights
-
-
-def pilot_values(csi: np.ndarray, config: OfdmConfig) -> np.ndarray:
-    """Extract the pilot-subcarrier entries of an estimate."""
-    return np.asarray(csi)[..., config.pilot_positions]
+    return received / pilot

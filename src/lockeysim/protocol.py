@@ -139,10 +139,11 @@ def _exchange(env: Environment, first_link: int, stream: Stream, probes):
     they are sent; the sender, ``"alice"`` or ``"bob"``, selects the
     transmit filter.  Both probes share one fading realization per link
     (reciprocity within the slot), while the second sees the jammed version
-    of the first probe's surface configuration.  Returns the receivers'
-    least-squares estimates in probe order.
+    of the first probe's surface configuration.  Every response is evaluated
+    on the pilot subcarriers only.  Returns the receivers' least-squares
+    estimates in probe order.
     """
-    freqs = env.ofdm.subcarrier_freqs
+    freqs = env.ofdm.pilot_freqs
     direct, h_ar, h_rb = (frequency_response(env._link(i), freqs) for i in range(first_link, first_link + 3))
     first = random_ris_state(env.n_units, substream(stream, 0), env.trials)
     states = (first, apply_jamming(first, env.attacked, substream(stream, 1)))
@@ -184,7 +185,7 @@ def loopback_combine(first_round, env: Environment, stream: Stream, swap_roles: 
     h_a1, h_b1 = first_round
     order = (("alice", h_a1), ("bob", h_b1)) if swap_roles else (("bob", h_b1), ("alice", h_a1))
     # a generator: each payload is built when its probe is sent, so one
-    # (trials, symbol_length) payload is alive at a time
+    # (trials, pilots) payload is alive at a time
     first, second = _exchange(env, 3, stream, ((sender, env.pilot * carried) for sender, carried in order))
     return (second, first) if swap_roles else (first, second)
 
@@ -259,8 +260,9 @@ def run_round(
     `gamma` is required exactly when the scheme is the compensated one; it
     is either a per-subcarrier array (pre-trained), a scalar, or
     ``GAMMA_PER_ROUND`` to fit the scalar from each round's own pilot
-    subcarriers.  A batched environment gives key sources of shape
-    ``(trials, symbol_length)``.  Deterministic: identical environment,
+    subcarriers.  Key sources hold one entry per pilot subcarrier: shape
+    ``(pilot_positions.size,)``, or ``(trials, pilot_positions.size)`` for a
+    batched environment.  Deterministic: identical environment,
     scheme and stream produce bit-identical results.
     """
     scheme = Scheme(scheme)
@@ -279,7 +281,7 @@ def run_round(
     if isinstance(gamma, str):
         if gamma != GAMMA_PER_ROUND:
             raise ValueError(f"unknown gamma policy {gamma!r}")
-        gamma_value = estimate_round_gamma(h_a, h_b, env.ofdm.pilot_positions)[..., None]
+        gamma_value = estimate_round_gamma(h_a, h_b)[..., None]
     else:
         gamma_value = gamma
     predicted = apply_compensation(h_a, gamma_value)

@@ -53,7 +53,10 @@ def aggregate_phase(state: RisState):
     convention is used because the aggregate acts as a complex channel
     multiplier; a plain sum of phase angles would not be a channel gain.
     """
-    return np.sum(np.exp(1j * state.phases), axis=-1)
+    phasors = np.empty(state.phases.shape, dtype=complex)
+    np.cos(state.phases, out=phasors.real)
+    np.sin(state.phases, out=phasors.imag)
+    return np.sum(phasors, axis=-1)
 
 
 def apply_jamming(up_state: RisState, attacked: int, stream: Stream) -> RisState:

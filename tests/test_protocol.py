@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from lockeysim.config import build_config
 from lockeysim.fading import TapProfile, fingerprint_response, frequency_response
-from lockeysim.ofdm import pilot_values
 from lockeysim.protocol import (
     GAMMA_PER_ROUND,
     Scheme,
@@ -54,13 +53,12 @@ class TestMeasureRound:
         # with equal surface aggregates the estimate ratio is the filter ratio
         env = make_env()
         h_a1, h_b1 = measure_round(env, (3,))
-        positions = env.ofdm.pilot_positions
-        freqs = env.ofdm.subcarrier_freqs[positions]
+        freqs = env.ofdm.pilot_freqs
         expected = (
             fingerprint_response(env.profiles["alice_hf"], freqs)
             / fingerprint_response(env.profiles["bob_hf"], freqs)
         )
-        np.testing.assert_allclose(h_b1[positions] / h_a1[positions], expected, rtol=1e-9)
+        np.testing.assert_allclose(h_b1 / h_a1, expected, rtol=1e-9)
 
     def test_full_attack_difference_oracle(self):
         # identity filters, noiseless, every unit re-randomized: the pair
@@ -71,15 +69,12 @@ class TestMeasureRound:
         env = make_env(attacked=30, profiles=identity_profiles())
         stream = (4,)
         h_a1, h_b1 = measure_round(env, stream)
-        freqs = env.ofdm.subcarrier_freqs
+        freqs = env.ofdm.pilot_freqs
         state_first = random_ris_state(30, substream(stream, 0))
         state_second = apply_jamming(state_first, env.attacked, substream(stream, 1))
         cascade = frequency_response(env._link(1), freqs) * frequency_response(env._link(2), freqs)
         expected = cascade * (aggregate_phase(state_second) - aggregate_phase(state_first))
-        positions = env.ofdm.pilot_positions
-        np.testing.assert_allclose(
-            (h_a1 - h_b1)[positions], expected[positions], rtol=1e-9
-        )
+        np.testing.assert_allclose(h_a1 - h_b1, expected, rtol=1e-9)
 
 
 class TestLoopbackCombine:
@@ -112,7 +107,7 @@ class TestLoopbackCombine:
         h_a1, h_b1 = measure_round(env, stream_t)
         h_a, h_b = loopback_combine((h_a1, h_b1), env, stream_tau)
 
-        freqs = env.ofdm.subcarrier_freqs
+        freqs = env.ofdm.pilot_freqs
         direct = frequency_response(env._link(3), freqs)
         cascade = frequency_response(env._link(4), freqs) * frequency_response(env._link(5), freqs)
         state_first = random_ris_state(30, substream(stream_tau, 0))
@@ -121,9 +116,71 @@ class TestLoopbackCombine:
         fp_ab = fingerprint_response(env.profiles["alice_hf"], freqs)
         expected_a = fp_ba * (direct + cascade * aggregate_phase(state_first)) * h_b1
         expected_b = fp_ab * (direct + cascade * aggregate_phase(state_second)) * h_a1
+        np.testing.assert_allclose(h_a, expected_a, rtol=1e-9)
+        np.testing.assert_allclose(h_b, expected_b, rtol=1e-9)
+
+
+class TestPilotGrid:
+    """Subcarriers are independent, so probing only the pilot subcarriers
+    gives exactly the pilot columns of a full-width computation."""
+
+    def test_noiseless_rounds_equal_full_width_products_at_the_pilots(self):
+        from lockeysim.ris import aggregate_phase, apply_jamming, random_ris_state
+        from lockeysim._rng import substream
+
+        trials = 6
+        env = make_env(attacked=7, trials=trials)
+        stream_t, stream_tau = (23,), (24,)
+        h_a1, h_b1 = measure_round(env, stream_t)
+        h_a, h_b = loopback_combine((h_a1, h_b1), env, stream_tau)
+
+        freqs = env.ofdm.subcarrier_freqs
+        fp_alice = fingerprint_response(env.profiles["alice_hf"], freqs)
+        fp_bob = fingerprint_response(env.profiles["bob_hf"], freqs)
+
+        def slot_channels(first_link, stream):
+            # full-width channel of each probe of a slot: first, then jammed
+            direct = frequency_response(env._link(first_link), freqs)
+            cascade = (frequency_response(env._link(first_link + 1), freqs)
+                       * frequency_response(env._link(first_link + 2), freqs))
+            first = random_ris_state(env.n_units, substream(stream, 0), trials)
+            second = apply_jamming(first, env.attacked, substream(stream, 1))
+            return tuple(direct + cascade * aggregate_phase(state)[:, None] for state in (first, second))
+
+        # slot 1: Alice probes first; slot 2: Bob loops back first
+        air_1, air_2 = slot_channels(0, stream_t)
+        full_b1, full_a1 = fp_alice * air_1, fp_bob * air_2
+        air_1, air_2 = slot_channels(3, stream_tau)
+        full_a, full_b = fp_bob * air_1 * full_b1, fp_alice * air_2 * full_a1
+
         positions = env.ofdm.pilot_positions
-        np.testing.assert_allclose(h_a[positions], expected_a[positions], rtol=1e-9)
-        np.testing.assert_allclose(h_b[positions], expected_b[positions], rtol=1e-9)
+        for got, full in ((h_a1, full_a1), (h_b1, full_b1), (h_a, full_a), (h_b, full_b)):
+            assert full.shape == (trials, env.ofdm.symbol_length)
+            np.testing.assert_allclose(got, full[:, positions], rtol=1e-12)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_key_sources_hold_one_column_per_pilot(self, scheme):
+        env = make_env(attacked=5, snr_db=10.0, trials=9)
+        gamma = GAMMA_PER_ROUND if scheme is Scheme.LOCKEY else None
+        result = run_round(scheme, env, gamma, (25,))
+        shape = (9, CFG.ofdm.pilot_positions.size)
+        assert result.key_source_alice.shape == result.key_source_bob.shape == shape
+
+    def test_measured_noise_follows_each_probes_pilot_grid_power(self):
+        # `measured` references each probe's SNR to its own mean received
+        # power over the pilot subcarriers; rows of low and of high power
+        # both see noise of exactly that variance
+        snr_db = 10.0
+        env = build_environment(CFG.ofdm, CFG.profiles, 30, 5, snr_db, (26,), noise_ref=None, trials=4000)
+        noisy = measure_round(env, (27,))
+        clean = measure_round(replace(env, snr_db=None), (27,))
+        for got, want in zip(noisy, clean):
+            # unit-modulus pilots: the estimate's power is the received power
+            expected_var = np.mean(np.abs(want) ** 2, axis=-1) * 10.0 ** (-snr_db / 10.0)
+            ratio = np.mean(np.abs(got - want) ** 2, axis=-1) / expected_var
+            weak = expected_var < np.median(expected_var)
+            assert np.mean(ratio[weak]) == pytest.approx(1.0, rel=0.05)
+            assert np.mean(ratio[~weak]) == pytest.approx(1.0, rel=0.05)
 
 
 class TestGamma:
@@ -232,10 +289,8 @@ class TestRunRound:
             )
             r_lb = run_round(Scheme.LOOPBACK, env, None, (15, i))
             r_lk = run_round(Scheme.LOCKEY, env, GAMMA_PER_ROUND, (15, i))
-            plain.append((pilot_values(r_lb.key_source_alice, cfg.ofdm),
-                          pilot_values(r_lb.key_source_bob, cfg.ofdm)))
-            locked.append((pilot_values(r_lk.key_source_alice, cfg.ofdm),
-                           pilot_values(r_lk.key_source_bob, cfg.ofdm)))
+            plain.append((r_lb.key_source_alice, r_lb.key_source_bob))
+            locked.append((r_lk.key_source_alice, r_lk.key_source_bob))
         rho_plain = abs(correlation(
             np.concatenate([a for a, _ in plain]), np.concatenate([b for _, b in plain])))
         rho_locked = abs(correlation(
@@ -243,15 +298,15 @@ class TestRunRound:
         assert rho_locked > rho_plain
 
     def test_batched_round_gamma_is_fitted_per_row(self):
-        # 64 trials: the per-round scalars have the length of a subcarrier
-        # vector, so only their (trials, 1) shape keeps them per row
-        env = make_env(attacked=5, snr_db=20.0, trials=64)
+        # one trial per pilot subcarrier: the per-round scalars have the
+        # length of a key source row, so only their (trials, 1) shape keeps
+        # them per row
+        trials = CFG.ofdm.pilot_positions.size
+        env = make_env(attacked=5, snr_db=20.0, trials=trials)
         plain = run_round(Scheme.LOOPBACK, env, None, (22,))
         locked = run_round(Scheme.LOCKEY, env, GAMMA_PER_ROUND, (22,))
-        positions = env.ofdm.pilot_positions
-        for row in (0, 63):
-            gamma = estimate_round_gamma(
-                plain.key_source_alice[row], plain.key_source_bob[row], positions)
+        for row in (0, trials - 1):
+            gamma = estimate_round_gamma(plain.key_source_alice[row], plain.key_source_bob[row])
             np.testing.assert_allclose(locked.gamma_used[row], gamma, rtol=1e-12)
             np.testing.assert_allclose(
                 locked.key_source_alice[row], gamma * plain.key_source_alice[row], rtol=1e-12)
@@ -278,8 +333,8 @@ class TestLoopbackConvergence:
                 CFG.ofdm, profiles, 30, 0, 40.0, (20, i),
             )
             result = run_round(Scheme.LOOPBACK, env, None, (21, i))
-            xs.append(pilot_values(result.key_source_alice, CFG.ofdm))
-            ys.append(pilot_values(result.key_source_bob, CFG.ofdm))
+            xs.append(result.key_source_alice)
+            ys.append(result.key_source_bob)
         rho = abs(correlation(np.concatenate(xs), np.concatenate(ys)))
         assert rho > 0.99
 
@@ -310,7 +365,7 @@ class TestLabelSwapSymmetry:
         for scheme in (Scheme.NON_LOOPBACK, Scheme.LOOPBACK):
             normal = run_round(scheme, env, None, (20,))
             swapped = run_round(scheme, swapped_environment(env), None, (20,), swap_roles=True)
-            assert normal.key_source_alice.shape == (16, 64)
+            assert normal.key_source_alice.shape == (16, env.ofdm.pilot_positions.size)
             np.testing.assert_array_equal(swapped.key_source_alice, normal.key_source_bob)
             np.testing.assert_array_equal(swapped.key_source_bob, normal.key_source_alice)
 
@@ -322,9 +377,7 @@ class TestLabelSwapSymmetry:
         )
         # the swapped run predicts the original alice-side estimate from the
         # original bob-side estimate
-        gamma = estimate_round_gamma(
-            normal.key_source_bob, normal.key_source_alice, env.ofdm.pilot_positions
-        )
+        gamma = estimate_round_gamma(normal.key_source_bob, normal.key_source_alice)
         np.testing.assert_allclose(
             swapped.key_source_alice, gamma * normal.key_source_bob, rtol=1e-10
         )
@@ -370,6 +423,6 @@ class TestProtocolProperties:
         swapped = run_round(scheme, swapped_environment(env), gamma, (key, 1), swap_roles=True)
         alice, bob = normal.key_source_bob, normal.key_source_alice
         if scheme is Scheme.LOCKEY:
-            alice = apply_compensation(alice, estimate_round_gamma(alice, bob, env.ofdm.pilot_positions)[..., None])
+            alice = apply_compensation(alice, estimate_round_gamma(alice, bob)[..., None])
         np.testing.assert_array_equal(swapped.key_source_alice, alice)
         np.testing.assert_array_equal(swapped.key_source_bob, bob)

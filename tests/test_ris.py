@@ -59,6 +59,10 @@ class TestAggregatePhase:
             state = random_ris_state(30, (8, i))
             assert abs(aggregate_phase(state)) <= state.n_units + 1e-12
 
+    def test_batch_equals_complex_exponential_sum(self):
+        state = random_ris_state(30, (9,), trials=200)
+        np.testing.assert_array_equal(aggregate_phase(state), np.sum(np.exp(1j * state.phases), axis=-1))
+
 
 class TestApplyJamming:
     def test_no_attack_identity(self):

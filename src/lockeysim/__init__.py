@@ -37,7 +37,6 @@ from .ofdm import OfdmConfig, generate_pilot, ls_estimate, probe
 from .protocol import (
     GAMMA_PER_ROUND,
     Environment,
-    RoundResult,
     Scheme,
     apply_compensation,
     build_environment,

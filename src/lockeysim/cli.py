@@ -9,7 +9,7 @@ import numpy as np
 
 from . import analysis
 from .config import ConfigError, load_config
-from .harness import PRESET_NAMES, emit_csv, preset_config, run_sweep
+from .harness import PRESET_NAMES, emit_csv, preset_config, run_sweep, sweep_cells
 from .protocol import estimate_gamma
 
 
@@ -36,7 +36,7 @@ def _cmd_validate(args) -> int:
     except ConfigError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
-    cells = len(config.schemes) * len(config.n_units_grid) * len(config.attacked_grid) * len(config.snr_grid_db)
+    cells = len(config.schemes) * len(sweep_cells(config))
     print(f"ok: {cells} sweep cells, {config.trials} trials each, master seed {config.master_seed}")
     return 0
 

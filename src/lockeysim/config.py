@@ -1,7 +1,7 @@
 """Experiment configuration: defaults, file loading, and validation.
 
 Config files are flat key/value mappings with dotted section names
-(``ris.n_units: 30``), parsed as YAML; nested sections are accepted and
+(``harness.trials: 1000``), parsed as YAML; nested sections are accepted and
 flattened.  Every key has a default, so an empty file is a complete
 configuration.  Validation failures name the offending key.
 """
@@ -30,15 +30,13 @@ DEFAULTS = {
     "ofdm.subcarrier_spacing_khz": 15.0,
     "ofdm.pilot_interval": 5,
     "ofdm.noise_ref": "link",            # link | pilot | measured | number
-    "ris.n_units": 30,
-    "ris.attacked_units": 5,
     "protocol.gamma_mode": "round",      # round | window
     "protocol.gamma_window": 200,
     "harness.snr_grid_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
     "harness.trials": 1000,
     "harness.schemes": ["non_loopback", "loopback", "lockey"],
-    "harness.n_units_grid": None,        # defaults to [ris.n_units]
-    "harness.attacked_grid": None,       # defaults to [ris.attacked_units]
+    "harness.n_units_grid": [30],
+    "harness.attacked_grid": [5],
     "harness.master_seed": 0,
     "harness.jobs": 1,
 }
@@ -70,8 +68,6 @@ class ExperimentConfig:
 
     ofdm: OfdmConfig
     noise_ref_mode: str
-    n_units: int
-    attacked_units: int
     profiles: dict
     gamma_mode: str
     gamma_window: int
@@ -90,8 +86,6 @@ class ExperimentConfig:
             if len(grid) == 0:
                 raise ConfigError(f"{key}: expected a non-empty list")
         for key, values, minimum in (
-            ("ris.n_units", (self.n_units,), 1),
-            ("ris.attacked_units", (self.attacked_units,), 0),
             ("protocol.gamma_window", (self.gamma_window,), 1),
             # four samples per subcarrier column are the fewest the quartile
             # quantizer can place its thresholds in
@@ -111,10 +105,6 @@ class ExperimentConfig:
             if not -MAX_SNR_DB <= snr_db <= MAX_SNR_DB:
                 raise ConfigError(
                     f"harness.snr_grid_db: must lie within +-{MAX_SNR_DB:g} dB, got {snr_db}")
-        if self.attacked_units > self.n_units:
-            raise ConfigError(
-                f"ris.attacked_units ({self.attacked_units}) exceeds ris.n_units ({self.n_units})"
-            )
         if max(self.attacked_grid) > min(self.n_units_grid):
             raise ConfigError(
                 f"harness.attacked_grid (max {max(self.attacked_grid)}) exceeds "
@@ -226,9 +216,6 @@ def build_config(overrides: Optional[dict] = None) -> ExperimentConfig:
     else:
         noise_ref_mode = _require_choice(noise_ref_raw, "ofdm.noise_ref", {"link", "pilot", "measured"})
 
-    n_units = _require_int(values["ris.n_units"], "ris.n_units")
-    attacked = _require_int(values["ris.attacked_units"], "ris.attacked_units")
-
     profiles = {link: _profile_for(link, values) for link in _LINK_KEYS}
 
     snr_grid = tuple(
@@ -240,22 +227,14 @@ def build_config(overrides: Optional[dict] = None) -> ExperimentConfig:
         Scheme(_require_choice(v, "harness.schemes", {s.value for s in Scheme}))
         for v in _require_list(values["harness.schemes"], "harness.schemes")
     )
-    n_grid_raw = values["harness.n_units_grid"]
-    n_units_grid = tuple(
-        _require_int(v, "harness.n_units_grid")
-        for v in (_require_list(n_grid_raw, "harness.n_units_grid") if n_grid_raw is not None else [n_units])
-    )
-    attacked_raw = values["harness.attacked_grid"]
-    attacked_grid = tuple(
-        _require_int(v, "harness.attacked_grid")
-        for v in (_require_list(attacked_raw, "harness.attacked_grid") if attacked_raw is not None else [attacked])
+    n_units_grid, attacked_grid = (
+        tuple(_require_int(v, key) for v in _require_list(values[key], key))
+        for key in ("harness.n_units_grid", "harness.attacked_grid")
     )
 
     return ExperimentConfig(
         ofdm=ofdm,
         noise_ref_mode=noise_ref_mode,
-        n_units=n_units,
-        attacked_units=attacked,
         profiles=profiles,
         gamma_mode=values["protocol.gamma_mode"],
         gamma_window=_require_int(values["protocol.gamma_window"], "protocol.gamma_window"),

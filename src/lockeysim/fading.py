@@ -193,6 +193,8 @@ def add_awgn(signal, snr_db: Optional[float], stream: Stream, ref_power: Optiona
     if not math.isfinite(snr_db):
         raise ValueError("snr_db must be finite or the noiseless flag")
     if ref_power is None:
+        if signal.ndim == 0:
+            raise ValueError("a 0-d signal has no row to measure its power over; pass ref_power")
         ref_power = np.mean(np.abs(signal) ** 2, axis=-1, keepdims=True)
     noise_var = ref_power * 10.0 ** (-snr_db / 10.0)
     # (re, im) pairs viewed as complex, scaled and shifted in place

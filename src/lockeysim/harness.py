@@ -1,16 +1,20 @@
-"""Seeded Monte-Carlo sweeps over SNR, scheme, surface size and attack level.
+"""Seeded Monte-Carlo sweeps over SNR, surface size and attack level.
 
-Each sweep cell runs all of its trials as one batched round (and its
-gamma-training window, if any, as another).  Each block draws its random
-streams from the master seed and the cell's own parameters, never from its
-position in the sweep, so results are reproducible bit-for-bit regardless
-of worker count and unaffected by adding or removing other cells.
+The unit of work is a sweep point (SNR, surface size, attack level).  Each
+point runs all of its trials as one batched two-slot round (and its
+gamma-training window, if any, as another), and every configured scheme
+reads its key sources from that one round.  Each block draws its random
+streams from the master seed and the point's own parameters, never from its
+position in the sweep or from the schemes configured, so results are
+reproducible bit-for-bit regardless of worker count and unaffected by
+adding or removing other points or schemes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -19,17 +23,16 @@ from . import analysis, keygen
 from ._rng import substream
 from .config import ExperimentConfig, build_config
 from .fading import fingerprint_response
-from .protocol import GAMMA_PER_ROUND, RoundResult, Scheme, build_environment, estimate_gamma, run_round
+from .protocol import GAMMA_PER_ROUND, Scheme, build_environment, estimate_gamma, run_round
 
-#: Tags separating the measurement block from the training block in the
-#: per-cell stream derivation.
-_MEASURE_TAG = 0
-_TRAIN_TAG = 1
+#: (lead, tag) stream-key parts of the measured block and the training window.
+#: They are the keys the lockey cell and its training window had when each
+#: scheme ran its own round, so the lockey rows stay as they were.
+_MEASURE_BLOCK = (2, 0)
+_TRAIN_BLOCK = (1, 1)
 
 #: Offset making the millidB SNR component of a stream key non-negative.
 _SNR_KEY_OFFSET = 1 << 30
-
-_SCHEME_ORDER = {scheme: i for i, scheme in enumerate(Scheme)}
 
 
 @dataclass(frozen=True)
@@ -55,42 +58,24 @@ class ResultRow:
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
-def _cell_stream(config: ExperimentConfig, scheme: Scheme, snr_db: float, n_units: int, attacked: int, tag: int):
-    """Stream key of one block of rounds, a function of the cell parameters only."""
+def _run_block(config: ExperimentConfig, snr_db, n_units, attacked, gamma, block, trials):
+    """`trials` rounds of one point as one batched round, its streams keyed by
+    the point parameters only."""
     snr_key = int(round(snr_db * 1000.0)) + _SNR_KEY_OFFSET
     if snr_key < 0:
         raise ValueError("snr_db out of the encodable range")
-    return (
-        int(config.master_seed),
-        _SCHEME_ORDER[scheme],
-        snr_key,
-        int(n_units),
-        int(attacked),
-        int(tag),
-    )
-
-
-def _run_block(config: ExperimentConfig, scheme: Scheme, snr_db, n_units, attacked, gamma, tag, trials) -> RoundResult:
-    """`trials` rounds of one cell as one batched round."""
-    stream = _cell_stream(config, scheme, snr_db, n_units, attacked, tag)
-    env = build_environment(
-        config.ofdm,
-        config.profiles,
-        n_units,
-        attacked,
-        snr_db,
-        substream(stream, 0),
-        noise_ref=config.noise_ref,
-        trials=trials,
-    )
-    return run_round(scheme, env, gamma, substream(stream, 1))
+    lead, tag = block
+    stream = (int(config.master_seed), lead, snr_key, int(n_units), int(attacked), tag)
+    env = build_environment(config.ofdm, config.profiles, n_units, attacked, snr_db, substream(stream, 0),
+                            noise_ref=config.noise_ref, trials=trials)
+    return run_round(env, gamma, substream(stream, 1))
 
 
 def _train_gamma(config: ExperimentConfig, snr_db, n_units, attacked):
     """Per-subcarrier prediction scalar fitted on a separate training window."""
     window = config.gamma_window
-    history = _run_block(config, Scheme.LOOPBACK, snr_db, n_units, attacked, None, _TRAIN_TAG, window)
-    return estimate_gamma(history.key_source_alice, history.key_source_bob, min_rounds=window)
+    sources, _ = _run_block(config, snr_db, n_units, attacked, None, _TRAIN_BLOCK, window)
+    return estimate_gamma(*sources[Scheme.LOOPBACK], min_rounds=window)
 
 
 def model_stats_for_cell(config: ExperimentConfig, snr_db: float, n_units: int) -> analysis.ModelStats:
@@ -127,35 +112,45 @@ def _quantize_block(values: np.ndarray) -> np.ndarray:
     return keygen.quantize_gray2(magnitudes, keygen.compute_thresholds(magnitudes)).bits
 
 
-def run_cell(config: ExperimentConfig, scheme: Scheme, snr_db: float, n_units: int, attacked: int) -> ResultRow:
-    """Run all trials of one sweep cell and aggregate its metrics.
+def run_cell(config: ExperimentConfig, snr_db: float, n_units: int, attacked: int) -> list:
+    """Run all trials of one sweep point and aggregate each configured
+    scheme's metrics: one row per scheme, in ``config.schemes`` order.
 
-    A degenerate sample block becomes a row flagged ``error: ...``; any
-    other exception is a fault of the program and propagates.
+    All schemes read one shared round.  A degenerate sample block becomes a
+    row flagged ``error: ...``: every row of the point when the shared round
+    raised it (a gamma fit), only the scheme's own row when its metrics did.
+    Any other exception is a fault of the program and propagates.
     """
     try:
-        return _run_cell(config, scheme, snr_db, n_units, attacked)
+        if Scheme.LOCKEY not in config.schemes:
+            gamma = None
+        elif config.gamma_mode == "round":
+            gamma = GAMMA_PER_ROUND
+        else:
+            gamma = _train_gamma(config, snr_db, n_units, attacked)
+        sources, gamma = _run_block(config, snr_db, n_units, attacked, gamma, _MEASURE_BLOCK, config.trials)
     except analysis.DegenerateSampleError as exc:  # record, never drop silently
-        nan = float("nan")
-        return ResultRow(
-            scheme.value, float(snr_db), n_units, attacked,
-            nan, nan, nan, nan, nan, nan, nan, nan, config.trials,
-            flag=f"error: {exc}",
-        )
+        return [_flagged_row(config, scheme, snr_db, n_units, attacked, exc) for scheme in config.schemes]
+    stats = model_stats_for_cell(config, snr_db, n_units)
+    rows = []
+    for scheme in config.schemes:
+        try:
+            rows.append(_scheme_row(config, scheme, snr_db, n_units, attacked, *sources[scheme], gamma, stats))
+        except analysis.DegenerateSampleError as exc:
+            rows.append(_flagged_row(config, scheme, snr_db, n_units, attacked, exc))
+    return rows
 
 
-def _run_cell(config, scheme, snr_db, n_units, attacked):
-    if scheme is not Scheme.LOCKEY:
-        gamma = None
-    elif config.gamma_mode == "round":
-        gamma = GAMMA_PER_ROUND
-    else:
-        gamma = _train_gamma(config, snr_db, n_units, attacked)
+def _flagged_row(config, scheme, snr_db, n_units, attacked, exc):
+    nan = float("nan")
+    return ResultRow(
+        scheme.value, float(snr_db), n_units, attacked,
+        nan, nan, nan, nan, nan, nan, nan, nan, config.trials,
+        flag=f"error: {exc}",
+    )
 
-    result = _run_block(config, scheme, snr_db, n_units, attacked, gamma, _MEASURE_TAG, config.trials)
-    alice = result.key_source_alice
-    bob = result.key_source_bob
 
+def _scheme_row(config, scheme, snr_db, n_units, attacked, alice, bob, gamma, stats):
     alice_flat = alice.ravel()
     bob_flat = bob.ravel()
     rho = abs(analysis.correlation(alice_flat, bob_flat))
@@ -170,7 +165,6 @@ def _run_cell(config, scheme, snr_db, n_units, attacked):
     bits_b = _quantize_block(bob)
     metrics = keygen.csk(rho, bits_a, bits_b, subcarriers_used=alice_flat.size)
 
-    stats = model_stats_for_cell(config, snr_db, n_units)
     if scheme is Scheme.NON_LOOPBACK:
         rho_analytic = analysis.rho1_analytic(stats)
     elif scheme is Scheme.LOOPBACK:
@@ -181,7 +175,7 @@ def _run_cell(config, scheme, snr_db, n_units, attacked):
         # Same normalization as the empirical column: reference side power.
         ref_power = stats.g_b * (stats.b ** 2 * stats.s4_arb + stats.s4_ab) + analysis.NOISE_VAR
         mse_analytic = analysis.mse_prediction(analysis.gamma_analytic(stats), stats) / ref_power
-        gamma_mean = float(np.mean(np.abs(result.gamma_used)))
+        gamma_mean = float(np.mean(np.abs(gamma)))
     else:
         mse_analytic = math.nan
         gamma_mean = math.nan
@@ -204,36 +198,28 @@ def _run_cell(config, scheme, snr_db, n_units, attacked):
 
 
 def sweep_cells(config: ExperimentConfig):
-    """The (scheme, snr, n_units, attacked) grid of a sweep, in row order."""
-    return [
-        (scheme, snr, n, k)
-        for scheme in config.schemes
-        for n in config.n_units_grid
-        for k in config.attacked_grid
-        for snr in config.snr_grid_db
-    ]
-
-
-def _cell_worker(args):
-    config, scheme, snr, n, k = args
-    return run_cell(config, scheme, snr, n, k)
+    """The (snr, n_units, attacked) points of a sweep, in row order within
+    each scheme."""
+    return [(snr, n, k) for n in config.n_units_grid for k in config.attacked_grid for snr in config.snr_grid_db]
 
 
 def run_sweep(config: ExperimentConfig, jobs: Optional[int] = None) -> list:
-    """Run every cell of the configured sweep.
+    """Run every point of the configured sweep and return its rows in
+    (scheme, n_units, attacked, snr) order.
 
-    The worker count affects scheduling only: per-cell seed derivation makes
+    The worker count affects scheduling only: per-point seed derivation makes
     the result rows identical for any `jobs` value.
     """
     jobs = config.jobs if jobs is None else jobs
-    cells = sweep_cells(config)
-    args = [(config, scheme, snr, n, k) for scheme, snr, n, k in cells]
-    if jobs <= 1 or len(cells) <= 1:
-        return [_cell_worker(a) for a in args]
-    from concurrent.futures import ProcessPoolExecutor
+    points = sweep_cells(config)
+    if jobs <= 1 or len(points) <= 1:
+        per_point = [run_cell(config, *point) for point in points]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_cell_worker, args))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            per_point = list(pool.map(run_cell, repeat(config), *zip(*points)))
+    return [rows[i] for i in range(len(config.schemes)) for rows in per_point]
 
 
 def _format_value(value) -> str:

@@ -1,4 +1,4 @@
-"""One full probing round under each key-sourcing scheme.
+"""One full probing round and the key sources each scheme reads from it.
 
 A round spans two coherence slots.  In the first slot the parties probe
 each other once on band 1 (the classical TDD exchange); in the second slot
@@ -8,6 +8,11 @@ same pair of direction filters on both sides, fixed hardware asymmetry
 cancels exactly.  The surface aggregate does not cancel when an attacker
 desynchronizes the two directions, which is what the prediction-scalar
 compensation of the third scheme targets.
+
+The three schemes are three readings of one round, so `run_round` runs the
+two slots once and returns every scheme's pair: the plain exchange reads
+the first slot, the loop-back reads the second slot's products, and the
+compensated scheme scales Alice's product by the prediction scalar.
 
 Within a slot the air channel is reciprocal: one fading realization per
 link is shared by both directions.  Each slot draws fresh independent
@@ -87,16 +92,6 @@ class Environment:
         drawn from stream index `index`."""
         return make_fading_process(self.profiles[_BAND_LINKS[index % 3]], substream(self.stream, index),
                                    self.trials)
-
-
-@dataclass(frozen=True, eq=False)
-class RoundResult:
-    """Paired key-source estimates produced by one round of one scheme."""
-
-    scheme: Scheme
-    key_source_alice: np.ndarray
-    key_source_bob: np.ndarray
-    gamma_used: Optional[np.ndarray]
 
 
 def build_environment(
@@ -212,7 +207,7 @@ def estimate_gamma(history_a, history_b, min_rounds: int = 200) -> np.ndarray:
     return np.sum(h_b * np.conj(h_a), axis=0) / denom
 
 
-def estimate_round_gamma(h_a, h_b, positions=None):
+def estimate_round_gamma(h_a, h_b):
     """Single prediction scalar fitted across one round's subcarriers.
 
     The surface aggregate is common to all subcarriers, so the mismatch an
@@ -225,9 +220,6 @@ def estimate_round_gamma(h_a, h_b, positions=None):
     h_b = np.asarray(h_b, dtype=complex)
     if h_a.shape != h_b.shape:
         raise ValueError("round sides differ in shape")
-    if positions is not None:
-        h_a = h_a[..., positions]
-        h_b = h_b[..., positions]
     denom = np.sum(np.abs(h_a) ** 2, axis=-1)
     if np.any(denom == 0.0):
         raise DegenerateSampleError("degenerate round: all-zero reference values")
@@ -248,42 +240,32 @@ def apply_compensation(h_a, gamma) -> np.ndarray:
     return gamma * h_a
 
 
-def run_round(
-    scheme: Scheme,
-    env: Environment,
-    gamma: Optional[Gamma],
-    stream: Stream,
-    swap_roles: bool = False,
-) -> RoundResult:
-    """Execute one probing round and return the paired key sources.
+def run_round(env: Environment, gamma: Optional[Gamma], stream: Stream, swap_roles: bool = False):
+    """Execute one two-slot probing round and read every scheme's key sources
+    from it.
 
-    `gamma` is required exactly when the scheme is the compensated one; it
-    is either a per-subcarrier array (pre-trained), a scalar, or
-    ``GAMMA_PER_ROUND`` to fit the scalar from each round's own pilot
-    subcarriers.  Key sources hold one entry per pilot subcarrier: shape
-    ``(pilot_positions.size,)``, or ``(trials, pilot_positions.size)`` for a
-    batched environment.  Deterministic: identical environment,
-    scheme and stream produce bit-identical results.
+    Returns ``(sources, gamma_applied)``.  `sources` maps each `Scheme` to
+    its ``(alice, bob)`` pair: the first-slot estimates for the plain
+    exchange, the loop-back products for the loop-back scheme, and for the
+    compensated scheme Alice's product times gamma with Bob's product.  The
+    compensated entry exists only when `gamma` is given: a per-subcarrier
+    array (pre-trained), a scalar, or ``GAMMA_PER_ROUND`` to fit one scalar
+    from each round's own pilot subcarriers (a ``(trials, 1)`` column for a
+    batched environment).  `gamma_applied` is the value the compensation
+    multiplied by, None without a `gamma`.  Key sources hold one entry per
+    pilot subcarrier: shape ``(pilot_positions.size,)``, or
+    ``(trials, pilot_positions.size)`` for a batched environment.
+    Deterministic: identical environment and stream produce bit-identical
+    results.
     """
-    scheme = Scheme(scheme)
-    if scheme is Scheme.LOCKEY and gamma is None:
-        raise ValueError("the compensated scheme requires a gamma (array, scalar, or GAMMA_PER_ROUND)")
-
     first = measure_round(env, substream(stream, 0), swap_roles=swap_roles)
-    if scheme is Scheme.NON_LOOPBACK:
-        h_a1, h_b1 = first
-        return RoundResult(scheme, h_a1, h_b1, None)
-
     h_a, h_b = loopback_combine(first, env, substream(stream, 1), swap_roles=swap_roles)
-    if scheme is Scheme.LOOPBACK:
-        return RoundResult(scheme, h_a, h_b, None)
-
+    sources = {Scheme.NON_LOOPBACK: first, Scheme.LOOPBACK: (h_a, h_b)}
+    if gamma is None:
+        return sources, None
     if isinstance(gamma, str):
         if gamma != GAMMA_PER_ROUND:
             raise ValueError(f"unknown gamma policy {gamma!r}")
-        gamma_value = estimate_round_gamma(h_a, h_b)[..., None]
-    else:
-        gamma_value = gamma
-    predicted = apply_compensation(h_a, gamma_value)
-    gamma_used = np.broadcast_to(np.asarray(gamma_value, dtype=complex), h_a.shape).copy()
-    return RoundResult(scheme, predicted, h_b, gamma_used)
+        gamma = estimate_round_gamma(h_a, h_b)[..., None]
+    sources[Scheme.LOCKEY] = (apply_compensation(h_a, gamma), h_b)
+    return sources, gamma

@@ -38,12 +38,13 @@ _sweep_cache = {}
 
 def _sweep(preset: str, jobs: int):
     """Sweep rows of a preset at the acceptance settings, cached per run by
-    the cell grid, so panels that share a sweep compute it once."""
+    the schemes and the point grid, so panels that share a sweep compute it
+    once."""
     config = preset_config(preset, base=build_config({
         "harness.trials": TRIALS,
         "harness.snr_grid_db": list(SNR_GRID),
     }))
-    key = (tuple(sweep_cells(config)), jobs)
+    key = (config.schemes, tuple(sweep_cells(config)), jobs)
     if key not in _sweep_cache:
         _sweep_cache[key] = run_sweep(config, jobs=jobs)
     return _sweep_cache[key]
@@ -69,9 +70,9 @@ def test_criterion_01_hardware_cancellation_exactness():
         env = build_environment(
             config.ofdm, config.profiles, 30, 0, None, (101,), trials=trials,
         )
-        result = run_round(Scheme.LOOPBACK, env, None, (102,))
-        scale = np.max(np.abs(result.key_source_bob), axis=-1)
-        gap = np.max(np.abs(result.key_source_alice - result.key_source_bob), axis=-1)
+        alice, bob = run_round(env, None, (102,))[0][Scheme.LOOPBACK]
+        scale = np.max(np.abs(bob), axis=-1)
+        gap = np.max(np.abs(alice - bob), axis=-1)
         rel = max(rel, float(np.max(gap / scale)))
     elapsed = time.perf_counter() - started
     ok = rel < 1e-10 and elapsed < 1.0

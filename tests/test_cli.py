@@ -12,9 +12,9 @@ class TestValidate:
 
     def test_invalid_config(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
-        path.write_text("ris.attacked_units: 99\n")
+        path.write_text("harness.attacked_grid: [99]\n")
         assert main(["validate", "--config", str(path)]) == 1
-        assert "ris.attacked_units" in capsys.readouterr().err
+        assert "harness.attacked_grid" in capsys.readouterr().err
 
     def test_missing_file_is_an_error(self, capsys):
         assert main(["validate", "--config", "/does/not/exist.yaml"]) == 1
@@ -55,7 +55,7 @@ class TestSimulate:
     def test_preset_checked_against_the_config(self, tmp_path, capsys):
         # fig5b attacks up to 20 units, more than this surface has
         config = tmp_path / "small.yaml"
-        config.write_text("ris.n_units: 10\n")
+        config.write_text("harness.n_units_grid: [10]\n")
         out = tmp_path / "out.csv"
         assert main([
             "simulate", "--config", str(config), "--preset", "fig5b",

@@ -173,6 +173,11 @@ class TestAddAwgn:
         variances = np.mean(np.abs(noisy - signal) ** 2, axis=-1)
         np.testing.assert_allclose(variances, [1.0, 100.0], rtol=0.02)
 
+    def test_scalar_signal_needs_a_reference_power(self):
+        with pytest.raises(ValueError, match="0-d signal"):
+            add_awgn(1.0 + 0j, 10.0, (1,))
+        assert add_awgn(1.0 + 0j, 10.0, (1,), ref_power=1.0).shape == ()
+
     def test_rejects_nan_snr(self):
         with pytest.raises(ValueError):
             add_awgn(np.ones(4, dtype=complex), float("nan"), (1,))

@@ -41,7 +41,7 @@ class TestLoadConfig:
         assert config.ofdm.symbol_length == 64
         assert config.ofdm.subcarrier_spacing_hz == 15e3
         assert config.ofdm.pilot_interval == 5
-        assert config.n_units == 30
+        assert config.n_units_grid == (30,)
         assert config.trials == 1000
         assert config.snr_grid_db == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
@@ -50,29 +50,29 @@ class TestLoadConfig:
             load_config("/nonexistent/config.yaml")
 
     def test_none_gives_defaults(self):
-        assert load_config(None).n_units == 30
+        assert load_config(None).n_units_grid == (30,)
 
     def test_single_override(self, tmp_path):
         path = tmp_path / "one.yaml"
-        path.write_text("ris.n_units: 10\n")
+        path.write_text("harness.n_units_grid: [10]\n")
         config = load_config(str(path))
-        assert config.n_units == 10
+        assert config.n_units_grid == (10,)
         assert config.trials == 1000  # everything else default
 
     def test_nested_sections_accepted(self, tmp_path):
         path = tmp_path / "nested.yaml"
-        path.write_text("ris:\n  n_units: 12\n  attacked_units: 3\n")
+        path.write_text("harness:\n  n_units_grid: [12]\n  attacked_grid: [3]\n")
         config = load_config(str(path))
-        assert config.n_units == 12
-        assert config.attacked_units == 3
+        assert config.n_units_grid == (12,)
+        assert config.attacked_grid == (3,)
 
     def test_attack_exceeding_units_names_both_keys(self, tmp_path):
         path = tmp_path / "bad.yaml"
-        path.write_text("ris.attacked_units: 40\nris.n_units: 30\n")
+        path.write_text("harness.attacked_grid: [40]\nharness.n_units_grid: [30]\n")
         with pytest.raises(ConfigError) as err:
             load_config(str(path))
-        assert "ris.attacked_units" in str(err.value)
-        assert "ris.n_units" in str(err.value)
+        assert "harness.attacked_grid" in str(err.value)
+        assert "harness.n_units_grid" in str(err.value)
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="ris.attacked_unitz"):
@@ -86,6 +86,17 @@ class TestLoadConfig:
         path.write_text(f"{key}: {value}\n")
         with pytest.raises(ConfigError, match=f"unknown configuration keys: {key}"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("key, grid_key, value", [("ris.n_units", "harness.n_units_grid", 12),
+                                                      ("ris.attacked_units", "harness.attacked_grid", 3)])
+    def test_surface_keys_are_unknown_next_to_their_grids(self, key, grid_key, value, tmp_path):
+        # the surface size and attack level are set by their sweep grids only
+        path = tmp_path / "old.yaml"
+        path.write_text(f"{key}: {value}\n")
+        with pytest.raises(ConfigError, match=f"unknown configuration keys: {key}"):
+            load_config(str(path))
+        path.write_text(f"{grid_key}: [{value}]\n")
+        assert getattr(load_config(str(path)), grid_key.split(".")[1]) == (value,)
 
     def test_bad_scheme_named(self):
         with pytest.raises(ConfigError, match="harness.schemes"):
@@ -129,8 +140,8 @@ class TestLoadConfig:
         config = build_config({})
         with pytest.raises(ConfigError, match="harness.trials"):
             config.with_overrides(trials=2)
-        with pytest.raises(ConfigError, match="ris.attacked_units"):
-            config.with_overrides(attacked_units=31)
+        with pytest.raises(ConfigError, match="harness.n_units_grid"):
+            config.with_overrides(n_units_grid=(4,))
         with pytest.raises(ConfigError, match="harness.attacked_grid"):
             config.with_overrides(attacked_grid=(2, 10, 40))
 
@@ -170,9 +181,27 @@ class TestLoadConfig:
 
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "broken.yaml"
-        path.write_text("ris.n_units: [unclosed\n")
+        path.write_text("harness.n_units_grid: [unclosed\n")
         with pytest.raises(ConfigError, match="parse"):
             load_config(str(path))
+
+
+@pytest.fixture
+def built_generators(monkeypatch):
+    """The stream of every random generator the package builds while the
+    test runs, in order."""
+    from lockeysim import _rng, analysis, fading, ofdm, ris
+
+    original = _rng.as_rng
+    built = []
+
+    def counting(stream):
+        built.append(stream)
+        return original(stream)
+
+    for module in (_rng, analysis, fading, ofdm, ris):
+        monkeypatch.setattr(module, "as_rng", counting)
+    return built
 
 
 class TestSweep:
@@ -210,42 +239,46 @@ class TestSweep:
             a.rho_empirical != b.rho_empirical for a, b in zip(base, other)
         )
 
-    def test_generator_constructions_do_not_grow_with_trials(self, monkeypatch):
+    def test_generator_constructions_do_not_grow_with_trials(self, built_generators):
         # every cell draws its trials (and its training window) as one block
         # from a fixed set of streams
-        from lockeysim import _rng, analysis, fading, ofdm, ris
-
-        original = _rng.as_rng
-        built = []
-
-        def counting(stream):
-            built.append(stream)
-            return original(stream)
-
-        for module in (_rng, analysis, fading, ofdm, ris):
-            monkeypatch.setattr(module, "as_rng", counting)
         counts = []
         for trials in (8, 64):
-            built.clear()
+            built_generators.clear()
             config = tiny_config(**{"harness.trials": trials, "protocol.gamma_mode": "window"})
-            for scheme in Scheme:
-                assert not run_cell(config, scheme, 10.0, 30, 5).flag
-            counts.append(len(built))
+            assert not any(row.flag for row in run_cell(config, 10.0, 30, 5))
+            counts.append(len(built_generators))
         assert counts[0] == counts[1] > 0
+
+    def test_schemes_share_one_round(self, built_generators):
+        # the baselines read the compensated scheme's round: adding them
+        # builds no further generator
+        counts = []
+        for schemes in (["lockey"], ["non_loopback", "loopback", "lockey"]):
+            built_generators.clear()
+            config = tiny_config(**{"harness.schemes": schemes, "protocol.gamma_mode": "window"})
+            assert len(run_cell(config, 10.0, 30, 5)) == len(schemes)
+            counts.append(len(built_generators))
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("scheme", ["lockey", "non_loopback"])
+    @pytest.mark.parametrize("gamma_mode", ["round", "window"])
+    def test_rows_do_not_depend_on_the_other_schemes(self, scheme, gamma_mode):
+        alone = run_sweep(tiny_config(**{"harness.schemes": [scheme], "protocol.gamma_mode": gamma_mode}))
+        together = run_sweep(tiny_config(**{"protocol.gamma_mode": gamma_mode}))
+        assert alone == [row for row in together if row.scheme == scheme]
 
     def test_cell_ordering(self):
         config = tiny_config()
         cells = sweep_cells(config)
-        assert cells[0][0] is Scheme.NON_LOOPBACK
-        assert [c[1] for c in cells[:2]] == [10.0, 20.0]
+        assert run_sweep(config)[0].scheme == Scheme.NON_LOOPBACK.value
+        assert [c[0] for c in cells[:2]] == [10.0, 20.0]
 
 
 class TestMetricsColumns:
     def test_gamma_and_analytic_columns(self):
         config = tiny_config(**{"harness.trials": 30})
-        non = run_cell(config, Scheme.NON_LOOPBACK, 10.0, 30, 5)
-        lofi = run_cell(config, Scheme.LOOPBACK, 10.0, 30, 5)
-        lockey = run_cell(config, Scheme.LOCKEY, 10.0, 30, 5)
+        non, lofi, lockey = run_cell(config, 10.0, 30, 5)
         assert math.isnan(non.gamma) and math.isnan(lofi.gamma)
         assert not math.isnan(lockey.gamma)
         assert not math.isnan(non.rho_analytic)
@@ -262,9 +295,33 @@ class TestMetricsColumns:
             raise DegenerateSampleError("degenerate sample block: quartile thresholds are not distinct")
 
         monkeypatch.setattr(harness.keygen, "compute_thresholds", degenerate)
-        row = run_cell(tiny_config(), Scheme.LOOPBACK, 10.0, 30, 5)
+        (row,) = run_cell(tiny_config(**{"harness.schemes": ["loopback"]}), 10.0, 30, 5)
         assert row.flag.startswith("error: degenerate")
         assert math.isnan(row.rho_empirical)
+
+    def test_degenerate_shared_round_flags_every_row(self, monkeypatch):
+        from lockeysim import protocol
+        from lockeysim.analysis import DegenerateSampleError
+
+        def degenerate(h_a, h_b):
+            raise DegenerateSampleError("degenerate round: all-zero reference values")
+
+        monkeypatch.setattr(protocol, "estimate_round_gamma", degenerate)
+        rows = run_cell(tiny_config(), 10.0, 30, 5)
+        assert [row.scheme for row in rows] == [scheme.value for scheme in Scheme]
+        assert all(row.flag == "error: degenerate round: all-zero reference values" for row in rows)
+
+    def test_degenerate_scheme_metrics_flag_that_row_only(self, monkeypatch):
+        from lockeysim import harness
+        from lockeysim.analysis import DegenerateSampleError
+
+        def degenerate(stats):
+            raise DegenerateSampleError("degenerate samples: zero second moment")
+
+        monkeypatch.setattr(harness.analysis, "rho2_analytic", degenerate)
+        non, lofi, lockey = run_cell(tiny_config(), 10.0, 30, 5)
+        assert lofi.flag.startswith("error: degenerate") and math.isnan(lofi.rho_empirical)
+        assert not non.flag and not lockey.flag
 
     def test_program_error_propagates(self, monkeypatch):
         # a shape fault in the kernel is not a property of the drawn data
@@ -275,7 +332,7 @@ class TestMetricsColumns:
 
         monkeypatch.setattr(harness.keygen, "compute_thresholds", misshapen)
         with pytest.raises(ValueError, match="broadcast"):
-            run_cell(tiny_config(), Scheme.LOOPBACK, 10.0, 30, 5)
+            run_cell(tiny_config(), 10.0, 30, 5)
 
     def test_model_stats_scale_with_snr(self):
         config = tiny_config()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lockeysim._rng import substream
 from lockeysim.config import build_config
 from lockeysim.fading import TapProfile, fingerprint_response, frequency_response
 from lockeysim.protocol import (
@@ -91,9 +92,9 @@ class TestLoopbackCombine:
         # distinct filters, static channels, no jamming, noiseless:
         # the loop-back pair agrees to machine precision
         env = make_env()
-        result = run_round(Scheme.LOOPBACK, env, None, (7,))
-        scale = np.max(np.abs(result.key_source_bob))
-        diff = np.max(np.abs(result.key_source_alice - result.key_source_bob))
+        alice, bob = run_round(env, None, (7,))[0][Scheme.LOOPBACK]
+        scale = np.max(np.abs(bob))
+        diff = np.max(np.abs(alice - bob))
         assert diff / scale < 1e-12
 
     def test_expansion_oracle(self):
@@ -162,9 +163,9 @@ class TestPilotGrid:
     def test_key_sources_hold_one_column_per_pilot(self, scheme):
         env = make_env(attacked=5, snr_db=10.0, trials=9)
         gamma = GAMMA_PER_ROUND if scheme is Scheme.LOCKEY else None
-        result = run_round(scheme, env, gamma, (25,))
+        alice, bob = run_round(env, gamma, (25,))[0][scheme]
         shape = (9, CFG.ofdm.pilot_positions.size)
-        assert result.key_source_alice.shape == result.key_source_bob.shape == shape
+        assert alice.shape == bob.shape == shape
 
     def test_measured_noise_follows_each_probes_pilot_grid_power(self):
         # `measured` references each probe's SNR to its own mean received
@@ -255,26 +256,41 @@ class TestApplyCompensation:
 class TestRunRound:
     def test_non_loopback_perfect_conditions(self):
         env = make_env(profiles=identity_profiles())
-        result = run_round(Scheme.NON_LOOPBACK, env, None, (11,))
-        np.testing.assert_allclose(result.key_source_alice, result.key_source_bob, rtol=1e-12)
+        alice, bob = run_round(env, None, (11,))[0][Scheme.NON_LOOPBACK]
+        np.testing.assert_allclose(alice, bob, rtol=1e-12)
 
-    def test_lockey_requires_gamma(self):
-        env = make_env()
-        with pytest.raises(ValueError, match="gamma"):
-            run_round(Scheme.LOCKEY, env, None, (12,))
+    @pytest.mark.parametrize("trials", [None, 7])
+    def test_schemes_read_one_round(self, trials):
+        # the plain pair is the first slot and the loop-back pair is the
+        # second slot of the same round, element for element
+        env = make_env(attacked=5, snr_db=10.0, trials=trials)
+        stream = (12,)
+        sources, _ = run_round(env, GAMMA_PER_ROUND, stream)
+        first = measure_round(env, substream(stream, 0))
+        product = loopback_combine(first, env, substream(stream, 1))
+        for got, want in zip((sources[Scheme.NON_LOOPBACK], sources[Scheme.LOOPBACK]), (first, product)):
+            for got_side, want_side in zip(got, want):
+                np.testing.assert_array_equal(got_side, want_side)
+        np.testing.assert_array_equal(sources[Scheme.LOCKEY][1], product[1])
+
+    def test_no_compensated_entry_without_gamma(self):
+        sources, gamma = run_round(make_env(), None, (12,))
+        assert set(sources) == {Scheme.NON_LOOPBACK, Scheme.LOOPBACK}
+        assert gamma is None
 
     def test_lockey_rejects_unknown_policy(self):
         env = make_env()
         with pytest.raises(ValueError, match="policy"):
-            run_round(Scheme.LOCKEY, env, "sometimes", (12,))
+            run_round(env, "sometimes", (12,))
 
     def test_determinism(self):
         env = make_env(attacked=5, snr_db=10.0)
-        r1 = run_round(Scheme.LOCKEY, env, GAMMA_PER_ROUND, (13,))
-        r2 = run_round(Scheme.LOCKEY, env, GAMMA_PER_ROUND, (13,))
-        np.testing.assert_array_equal(r1.key_source_alice, r2.key_source_alice)
-        np.testing.assert_array_equal(r1.key_source_bob, r2.key_source_bob)
-        np.testing.assert_array_equal(r1.gamma_used, r2.gamma_used)
+        s1, g1 = run_round(env, GAMMA_PER_ROUND, (13,))
+        s2, g2 = run_round(env, GAMMA_PER_ROUND, (13,))
+        for scheme in Scheme:
+            np.testing.assert_array_equal(s1[scheme][0], s2[scheme][0])
+            np.testing.assert_array_equal(s1[scheme][1], s2[scheme][1])
+        np.testing.assert_array_equal(g1, g2)
 
     def test_lockey_improves_on_loopback_under_jamming(self):
         # same environment draws: compensated key sources correlate better
@@ -287,10 +303,9 @@ class TestRunRound:
             env = build_environment(
                 cfg.ofdm, cfg.profiles, 30, 10, 15.0, (14, i)
             )
-            r_lb = run_round(Scheme.LOOPBACK, env, None, (15, i))
-            r_lk = run_round(Scheme.LOCKEY, env, GAMMA_PER_ROUND, (15, i))
-            plain.append((r_lb.key_source_alice, r_lb.key_source_bob))
-            locked.append((r_lk.key_source_alice, r_lk.key_source_bob))
+            sources, _ = run_round(env, GAMMA_PER_ROUND, (15, i))
+            plain.append(sources[Scheme.LOOPBACK])
+            locked.append(sources[Scheme.LOCKEY])
         rho_plain = abs(correlation(
             np.concatenate([a for a, _ in plain]), np.concatenate([b for _, b in plain])))
         rho_locked = abs(correlation(
@@ -303,20 +318,20 @@ class TestRunRound:
         # them per row
         trials = CFG.ofdm.pilot_positions.size
         env = make_env(attacked=5, snr_db=20.0, trials=trials)
-        plain = run_round(Scheme.LOOPBACK, env, None, (22,))
-        locked = run_round(Scheme.LOCKEY, env, GAMMA_PER_ROUND, (22,))
+        sources, gamma_used = run_round(env, GAMMA_PER_ROUND, (22,))
+        plain, locked = sources[Scheme.LOOPBACK], sources[Scheme.LOCKEY]
         for row in (0, trials - 1):
-            gamma = estimate_round_gamma(plain.key_source_alice[row], plain.key_source_bob[row])
-            np.testing.assert_allclose(locked.gamma_used[row], gamma, rtol=1e-12)
-            np.testing.assert_allclose(
-                locked.key_source_alice[row], gamma * plain.key_source_alice[row], rtol=1e-12)
+            gamma = estimate_round_gamma(plain[0][row], plain[1][row])
+            np.testing.assert_allclose(gamma_used[row], gamma, rtol=1e-12)
+            np.testing.assert_allclose(locked[0][row], gamma * plain[0][row], rtol=1e-12)
 
     def test_gamma_used_recorded_for_lockey_only(self):
         env = make_env(attacked=5, snr_db=20.0)
-        assert run_round(Scheme.LOOPBACK, env, None, (16,)).gamma_used is None
-        lk = run_round(Scheme.LOCKEY, env, GAMMA_PER_ROUND, (16,))
-        assert lk.gamma_used is not None
-        assert lk.gamma_used.shape == lk.key_source_alice.shape
+        assert run_round(env, None, (16,))[1] is None
+        sources, gamma_used = run_round(env, GAMMA_PER_ROUND, (16,))
+        assert gamma_used is not None
+        alice = sources[Scheme.LOCKEY][0]
+        assert np.broadcast_shapes(gamma_used.shape, alice.shape) == alice.shape
 
 
 class TestLoopbackConvergence:
@@ -332,9 +347,9 @@ class TestLoopbackConvergence:
             env = build_environment(
                 CFG.ofdm, profiles, 30, 0, 40.0, (20, i),
             )
-            result = run_round(Scheme.LOOPBACK, env, None, (21, i))
-            xs.append(result.key_source_alice)
-            ys.append(result.key_source_bob)
+            alice, bob = run_round(env, None, (21, i))[0][Scheme.LOOPBACK]
+            xs.append(alice)
+            ys.append(bob)
         rho = abs(correlation(np.concatenate(xs), np.concatenate(ys)))
         assert rho > 0.99
 
@@ -355,33 +370,32 @@ class TestLabelSwapSymmetry:
 
     def test_full_round_swaps_exactly(self):
         env = make_env(attacked=5, snr_db=10.0)
-        normal = run_round(Scheme.LOOPBACK, env, None, (18,))
-        swapped = run_round(Scheme.LOOPBACK, swapped_environment(env), None, (18,), swap_roles=True)
-        np.testing.assert_array_equal(swapped.key_source_alice, normal.key_source_bob)
-        np.testing.assert_array_equal(swapped.key_source_bob, normal.key_source_alice)
+        normal = run_round(env, None, (18,))[0][Scheme.LOOPBACK]
+        swapped = run_round(swapped_environment(env), None, (18,), swap_roles=True)[0][Scheme.LOOPBACK]
+        np.testing.assert_array_equal(swapped[0], normal[1])
+        np.testing.assert_array_equal(swapped[1], normal[0])
 
     def test_batched_round_swaps_exactly(self):
         env = make_env(attacked=5, snr_db=10.0, trials=16)
+        normal_sources, _ = run_round(env, None, (20,))
+        swapped_sources, _ = run_round(swapped_environment(env), None, (20,), swap_roles=True)
         for scheme in (Scheme.NON_LOOPBACK, Scheme.LOOPBACK):
-            normal = run_round(scheme, env, None, (20,))
-            swapped = run_round(scheme, swapped_environment(env), None, (20,), swap_roles=True)
-            assert normal.key_source_alice.shape == (16, env.ofdm.pilot_positions.size)
-            np.testing.assert_array_equal(swapped.key_source_alice, normal.key_source_bob)
-            np.testing.assert_array_equal(swapped.key_source_bob, normal.key_source_alice)
+            normal, swapped = normal_sources[scheme], swapped_sources[scheme]
+            assert normal[0].shape == (16, env.ofdm.pilot_positions.size)
+            np.testing.assert_array_equal(swapped[0], normal[1])
+            np.testing.assert_array_equal(swapped[1], normal[0])
 
     def test_lockey_swap_compensates_the_swapped_side(self):
         env = make_env(attacked=5, snr_db=10.0)
-        normal = run_round(Scheme.LOOPBACK, env, None, (19,))
-        swapped = run_round(
-            Scheme.LOCKEY, swapped_environment(env), GAMMA_PER_ROUND, (19,), swap_roles=True
-        )
+        normal_alice, normal_bob = run_round(env, None, (19,))[0][Scheme.LOOPBACK]
+        swapped_alice, swapped_bob = run_round(
+            swapped_environment(env), GAMMA_PER_ROUND, (19,), swap_roles=True
+        )[0][Scheme.LOCKEY]
         # the swapped run predicts the original alice-side estimate from the
         # original bob-side estimate
-        gamma = estimate_round_gamma(normal.key_source_bob, normal.key_source_alice)
-        np.testing.assert_allclose(
-            swapped.key_source_alice, gamma * normal.key_source_bob, rtol=1e-10
-        )
-        np.testing.assert_array_equal(swapped.key_source_bob, normal.key_source_alice)
+        gamma = estimate_round_gamma(normal_bob, normal_alice)
+        np.testing.assert_allclose(swapped_alice, gamma * normal_bob, rtol=1e-10)
+        np.testing.assert_array_equal(swapped_bob, normal_alice)
 
 
 @st.composite
@@ -404,9 +418,9 @@ class TestProtocolProperties:
     def test_loopback_cancels_any_filter_pair(self, alice_hf, bob_hf, n_units, key, trials):
         profiles = dict(CFG.profiles, alice_hf=alice_hf, bob_hf=bob_hf)
         env = make_env(n_units=n_units, stream=(key,), profiles=profiles, trials=trials)
-        result = run_round(Scheme.LOOPBACK, env, None, (key, 1))
-        gap = np.max(np.abs(result.key_source_alice - result.key_source_bob), axis=-1)
-        assert np.all(gap / np.max(np.abs(result.key_source_bob), axis=-1) < 1e-12)
+        alice, bob = run_round(env, None, (key, 1))[0][Scheme.LOOPBACK]
+        gap = np.max(np.abs(alice - bob), axis=-1)
+        assert np.all(gap / np.max(np.abs(bob), axis=-1) < 1e-12)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @settings(max_examples=10, deadline=None)
@@ -418,11 +432,10 @@ class TestProtocolProperties:
         # compensation always predicts the Alice-labelled side, so the
         # swapped lockey run is compared with the loop-back pair it compensates
         baseline = Scheme.LOOPBACK if scheme is Scheme.LOCKEY else scheme
-        normal = run_round(baseline, env, None, (key, 1))
+        bob, alice = run_round(env, None, (key, 1))[0][baseline]
         gamma = GAMMA_PER_ROUND if scheme is Scheme.LOCKEY else None
-        swapped = run_round(scheme, swapped_environment(env), gamma, (key, 1), swap_roles=True)
-        alice, bob = normal.key_source_bob, normal.key_source_alice
+        swapped = run_round(swapped_environment(env), gamma, (key, 1), swap_roles=True)[0][scheme]
         if scheme is Scheme.LOCKEY:
             alice = apply_compensation(alice, estimate_round_gamma(alice, bob)[..., None])
-        np.testing.assert_array_equal(swapped.key_source_alice, alice)
-        np.testing.assert_array_equal(swapped.key_source_bob, bob)
+        np.testing.assert_array_equal(swapped[0], alice)
+        np.testing.assert_array_equal(swapped[1], bob)

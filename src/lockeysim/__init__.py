@@ -32,7 +32,7 @@ from .fading import (
     make_fading_process,
 )
 from .harness import ResultRow, emit_csv, preset_config, run_cell, run_sweep
-from .keygen import BitStream, KeyMetrics, compute_thresholds, csk, kdr, quantize_gray2
+from .keygen import KeyMetrics, compute_thresholds, csk, kdr, quantize_gray2
 from .ofdm import OfdmConfig, generate_pilot, ls_estimate, probe
 from .protocol import (
     GAMMA_PER_ROUND,
@@ -46,12 +46,6 @@ from .protocol import (
     measure_round,
     run_round,
 )
-from .ris import (
-    RisState,
-    aggregate_phase,
-    apply_jamming,
-    cascaded_gain,
-    random_ris_state,
-)
+from .ris import surface_aggregates
 
 __version__ = "0.1.0"

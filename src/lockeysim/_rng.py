@@ -1,14 +1,10 @@
 """Deterministic random-stream handling.
 
 Every stochastic operation in this package takes a ``stream`` argument that
-identifies an independent random stream.  A stream is either
-
-* an ``int`` or a tuple of non-negative ints (hashed through
-  ``numpy.random.SeedSequence``, so distinct tuples give statistically
-  independent streams),
-* a ``SeedSequence`` itself, or
-* an already constructed ``numpy.random.Generator`` (used as-is; callers
-  that need reproducibility should prefer the tuple form).
+identifies an independent random stream.  A stream is an ``int`` or a
+tuple of non-negative ints, hashed through ``numpy.random.SeedSequence``,
+so distinct tuples give statistically independent streams.  Any other
+object, a ``Generator`` included, raises a ``TypeError``.
 
 Sub-streams are derived with :func:`substream` by appending indices to the
 key tuple.  This never mutates parent state, so the same key always yields
@@ -24,8 +20,7 @@ into fixed-size blocks, block ``i`` drawing from ``substream(stream, i)``.
 Their Generators are built on the calling thread and the blocks filled on
 a thread pool, so the values depend on the key and the sample count but not
 on the number of threads.  A block draws its Gaussians and, only where the
-filters are not fully coupled, one filter phasor per sample.  These
-samplers need an int or tuple key.
+filters are not fully coupled, one filter phasor per sample.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-Stream = Union[int, Sequence[int], np.random.SeedSequence, np.random.Generator]
+Stream = Union[int, Sequence[int]]
 
 
 def _as_key(stream) -> tuple:
@@ -42,7 +37,7 @@ def _as_key(stream) -> tuple:
         return (int(stream),)
     if isinstance(stream, (tuple, list)):
         return tuple(int(k) for k in stream)
-    raise TypeError(f"cannot derive sub-streams from {type(stream).__name__}")
+    raise TypeError(f"a stream is an int or a tuple of ints, not {type(stream).__name__}")
 
 
 def substream(stream, *indices: int):
@@ -57,8 +52,4 @@ def batch_shape(trials, *shape) -> tuple:
 
 def as_rng(stream) -> np.random.Generator:
     """Materialize a stream identifier into a numpy Generator."""
-    if isinstance(stream, np.random.Generator):
-        return stream
-    if isinstance(stream, np.random.SeedSequence):
-        return np.random.default_rng(stream)
     return np.random.default_rng(np.random.SeedSequence(_as_key(stream)))

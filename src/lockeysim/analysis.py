@@ -331,8 +331,7 @@ def sample_first_round_pairs(stats: ModelStats, n: int, stream: Stream):
     ``g_a * g_b <= 1`` so that the filter cross moment is realizable, which
     is exactly the regime where the closed-form correlation lies in [0, 1].
 
-    `stream` is an int or tuple key: the samples are drawn in blocks keyed
-    ``(stream, block)``, and `substream` rejects a ``Generator``.  The values
+    The samples are drawn in blocks keyed ``(stream, block)``.  The values
     depend only on the key and `n`, not on the number of threads.
     """
     c = _filter_coupling(stats)
@@ -355,8 +354,7 @@ def sample_loopback_pairs(stats: ModelStats, n: int, stream: Stream, match_secon
     prediction-scalar estimate depends on), while the second side's power
     is allowed to drift.
 
-    `stream` is an int or tuple key, drawn in blocks as in
-    `sample_first_round_pairs`; a ``Generator`` is rejected.
+    `stream` is drawn in blocks as in `sample_first_round_pairs`.
     """
     if abs(stats.a * stats.b) > 1.0:
         raise ValueError("need |a*b| <= 1 for a realizable shared-randomness correlation")

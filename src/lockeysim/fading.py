@@ -188,7 +188,7 @@ def add_awgn(signal, snr_db: Optional[float], stream: Stream, ref_power: Optiona
         where 0 dB means noise variance exactly 1.
     """
     signal = np.asarray(signal, dtype=complex)
-    if snr_db is None or math.isinf(snr_db):
+    if snr_db is None or snr_db == math.inf:
         return signal.copy()
     if not math.isfinite(snr_db):
         raise ValueError("snr_db must be finite or the noiseless flag")

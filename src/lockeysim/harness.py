@@ -109,7 +109,7 @@ def _quantize_block(values: np.ndarray) -> np.ndarray:
     filters) cannot misalign the two parties' quantization cells.
     """
     magnitudes = np.abs(values)
-    return keygen.quantize_gray2(magnitudes, keygen.compute_thresholds(magnitudes)).bits
+    return keygen.quantize_gray2(magnitudes, keygen.compute_thresholds(magnitudes))
 
 
 def run_cell(config: ExperimentConfig, snr_db: float, n_units: int, attacked: int) -> list:

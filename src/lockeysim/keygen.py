@@ -26,25 +26,6 @@ INFO_RATE_CAP = 10.0
 
 
 @dataclass(frozen=True)
-class BitStream:
-    """Ordered key bits plus the number of quantized samples behind them."""
-
-    bits: np.ndarray
-    subcarrier_count: int
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        object.__setattr__(self, "bits", bits)
-        if bits.size != 2 * self.subcarrier_count:
-            raise ValueError("2-bit quantization must yield 2 bits per sample")
-        if bits.size and not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("bits must be 0 or 1")
-
-    def __len__(self):
-        return self.bits.size
-
-
-@dataclass(frozen=True)
 class KeyMetrics:
     """Key-rate and disagreement summary of one measurement block.
 
@@ -89,13 +70,13 @@ def compute_thresholds(values) -> np.ndarray:
     return thresholds
 
 
-def quantize_gray2(values, thresholds) -> BitStream:
+def quantize_gray2(values, thresholds) -> np.ndarray:
     """Quantize magnitudes into Gray-coded 2-bit words.
 
     `thresholds` are the three strictly increasing level cut points (per
     column for a 2-D block, as `compute_thresholds` gives them); values map
-    to levels 0..3 and levels to the Gray codes 00, 01, 11, 10.  Bits are
-    in row order, two per value.
+    to levels 0..3 and levels to the Gray codes 00, 01, 11, 10.  Returns
+    the ``uint8`` bits in row order, two per value.
     """
     values = np.atleast_1d(np.asarray(values, dtype=float))
     thresholds = np.asarray(thresholds, dtype=float)
@@ -105,17 +86,12 @@ def quantize_gray2(values, thresholds) -> BitStream:
         raise ValueError("thresholds must be strictly increasing")
     levels = np.sum(values >= thresholds[:, None], axis=0)
     codes = np.asarray(GRAY2_CODES, dtype=np.uint8)
-    bits = codes[levels].ravel()
-    return BitStream(bits, values.size)
-
-
-def _bits(stream) -> np.ndarray:
-    return stream.bits if isinstance(stream, BitStream) else np.asarray(stream, dtype=np.uint8)
+    return codes[levels].ravel()
 
 
 def kdr(bits_a, bits_b) -> float:
     """Fraction of positions where the two bit streams disagree."""
-    a, b = _bits(bits_a), _bits(bits_b)
+    a, b = np.asarray(bits_a), np.asarray(bits_b)
     if a.size != b.size:
         raise ValueError(f"bit streams differ in length: {a.size} vs {b.size}")
     if a.size == 0:
@@ -133,7 +109,7 @@ def csk(rho_hat: float, bits_a, bits_b, subcarriers_used: int) -> KeyMetrics:
     """
     if subcarriers_used <= 0:
         raise ValueError("subcarriers_used must be > 0")
-    a, b = _bits(bits_a), _bits(bits_b)
+    a, b = np.asarray(bits_a), np.asarray(bits_b)
     if a.size != b.size:
         raise ValueError("bit streams differ in length")
     agreeing = int(np.count_nonzero(a == b))

@@ -17,7 +17,9 @@ compensated scheme scales Alice's product by the prediction scalar.
 Within a slot the air channel is reciprocal: one fading realization per
 link is shared by both directions.  Each slot draws fresh independent
 Gaussian taps for every link, one set per band; no channel aging between
-the slots is modelled.
+the slots is modelled.  The surface enters a slot only through its two
+aggregates from `ris.surface_aggregates`, one per probe, each scaling the
+slot's cascaded product ``h_ar * h_rb``.
 
 An environment drawn with ``trials=T`` holds T independent rounds along a
 leading array axis, and every function below runs all of them at once; an
@@ -36,7 +38,7 @@ from ._rng import Stream, substream
 from .analysis import DegenerateSampleError
 from .fading import FadingProcess, fingerprint_response, frequency_response, make_fading_process
 from .ofdm import OfdmConfig, generate_pilot, ls_estimate, probe
-from .ris import apply_jamming, cascaded_gain, random_ris_state
+from .ris import surface_aggregates
 
 
 class Scheme(enum.Enum):
@@ -133,22 +135,23 @@ def _exchange(env: Environment, first_link: int, stream: Stream, probes):
     `probes` yields the ``(sender, symbols)`` pair of each probe in the order
     they are sent; the sender, ``"alice"`` or ``"bob"``, selects the
     transmit filter.  Both probes share one fading realization per link
-    (reciprocity within the slot), while the second sees the jammed version
-    of the first probe's surface configuration.  Every response is evaluated
-    on the pilot subcarriers only.  Returns the receivers' least-squares
-    estimates in probe order.
+    (reciprocity within the slot) and so one cascaded product, which each
+    probe scales by its own surface aggregate: the second probe's has the
+    `attacked` units redrawn.  Every response is evaluated on the pilot
+    subcarriers only.  Returns the receivers' least-squares estimates in
+    probe order.
     """
     freqs = env.ofdm.pilot_freqs
     direct, h_ar, h_rb = (frequency_response(env._link(i), freqs) for i in range(first_link, first_link + 3))
-    first = random_ris_state(env.n_units, substream(stream, 0), env.trials)
-    states = (first, apply_jamming(first, env.attacked, substream(stream, 1)))
+    cascade = h_ar * h_rb
+    aggregates = surface_aggregates(env.n_units, env.attacked, stream, env.trials)
     return tuple(
         ls_estimate(probe(
-            symbols, direct, cascaded_gain(h_ar, h_rb, state),
+            symbols, direct, cascade * phi[..., None],
             fingerprint_response(env.profiles[f"{sender}_hf"], freqs), env.snr_db,
             substream(stream, noise_index), ref_power=env.noise_ref,
         ), env.pilot, env.ofdm)
-        for noise_index, state, (sender, symbols) in zip((2, 3), states, probes)
+        for noise_index, phi, (sender, symbols) in zip((2, 3), aggregates, probes)
     )
 
 

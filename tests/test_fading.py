@@ -181,3 +181,8 @@ class TestAddAwgn:
     def test_rejects_nan_snr(self):
         with pytest.raises(ValueError):
             add_awgn(np.ones(4, dtype=complex), float("nan"), (1,))
+
+    def test_rejects_minus_infinite_snr(self):
+        # -inf dB is infinite noise, not the noiseless flag
+        with pytest.raises(ValueError, match="noiseless flag"):
+            add_awgn(np.ones((2, 4), dtype=complex), -np.inf, (1,), ref_power=1.0)

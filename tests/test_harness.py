@@ -344,13 +344,13 @@ class TestMetricsColumns:
     def test_configured_aggregate_means_match_generator(self):
         # the zero means fed to the closed forms agree with the measured
         # mean of the aggregates the surface generator actually produces
-        from lockeysim.ris import aggregate_phase, random_ris_state
+        from lockeysim.ris import surface_aggregates
 
         config = tiny_config()
         stats = model_stats_for_cell(config, 10.0, 30)
-        measured = np.mean(aggregate_phase(random_ris_state(30, (77,), trials=20_000)))
-        assert abs(measured - stats.a) < 0.05
-        assert abs(measured - stats.b) < 0.05
+        phi_first, phi_second = surface_aggregates(30, 5, (77,), trials=20_000)
+        assert abs(np.mean(phi_first) - stats.a) < 0.05
+        assert abs(np.mean(phi_second) - stats.b) < 0.05
 
 
 class TestEmitCsv:

@@ -5,7 +5,6 @@ import pytest
 
 from lockeysim.keygen import (
     GRAY2_CODES,
-    BitStream,
     compute_thresholds,
     csk,
     kdr,
@@ -31,11 +30,11 @@ class TestThresholds:
             block = rng.rayleigh(size=(trials, 13)) * rng.uniform(0.1, 10.0, size=13)
             thresholds = compute_thresholds(block)
             assert thresholds.shape == (3, 13)
-            bits = quantize_gray2(block, thresholds).bits.reshape(trials, 13, 2)
+            bits = quantize_gray2(block, thresholds).reshape(trials, 13, 2)
             for j in range(13):
                 column = block[:, j]
                 np.testing.assert_array_equal(thresholds[:, j], compute_thresholds(column))
-                expected = quantize_gray2(column, compute_thresholds(column)).bits
+                expected = quantize_gray2(column, compute_thresholds(column))
                 np.testing.assert_array_equal(bits[:, j, :].ravel(), expected)
 
     def test_rejects_block_with_one_constant_column(self):
@@ -53,8 +52,8 @@ class TestQuantize:
     def test_level_midpoints_map_to_gray_sequence(self):
         thresholds = np.array([1.0, 2.0, 3.0])
         values = np.array([0.5, 1.5, 2.5, 3.5])
-        stream = quantize_gray2(values, thresholds)
-        np.testing.assert_array_equal(stream.bits, [0, 0, 0, 1, 1, 1, 1, 0])
+        bits = quantize_gray2(values, thresholds)
+        np.testing.assert_array_equal(bits, [0, 0, 0, 1, 1, 1, 1, 0])
 
     def test_gray_adjacency(self):
         for a, b in zip(GRAY2_CODES, GRAY2_CODES[1:]):
@@ -66,14 +65,13 @@ class TestQuantize:
         thresholds = compute_thresholds(values)
         a = quantize_gray2(values, thresholds)
         b = quantize_gray2(values.copy(), thresholds)
-        np.testing.assert_array_equal(a.bits, b.bits)
+        np.testing.assert_array_equal(a, b)
         assert kdr(a, b) == 0.0
 
     def test_quartile_balance(self):
         rng = np.random.default_rng(1)
         values = rng.uniform(size=100_000)
-        stream = quantize_gray2(values, compute_thresholds(values))
-        symbols = stream.bits.reshape(-1, 2)
+        symbols = quantize_gray2(values, compute_thresholds(values)).reshape(-1, 2)
         codes, counts = np.unique(symbols, axis=0, return_counts=True)
         assert len(codes) == 4
         np.testing.assert_allclose(counts / len(symbols), 0.25, atol=0.01)
@@ -84,16 +82,19 @@ class TestQuantize:
         a = quantize_gray2(values, compute_thresholds(values))
         scaled = 37.5 * values
         b = quantize_gray2(scaled, compute_thresholds(scaled))
-        np.testing.assert_array_equal(a.bits, b.bits)
+        np.testing.assert_array_equal(a, b)
 
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ValueError):
             quantize_gray2(np.ones(4), np.array([1.0, 1.0, 2.0]))
 
     def test_bitstream_length_invariant(self):
-        stream = quantize_gray2(np.array([0.1, 0.9]), np.array([0.25, 0.5, 0.75]))
-        assert len(stream) == 4
-        assert stream.subcarrier_count == 2
+        # two bits per value, flat, whatever the block's shape
+        for values, thresholds in ((np.array([0.1, 0.9]), np.array([0.25, 0.5, 0.75])),
+                                   (np.ones((5, 3)), np.tile([[0.5], [1.5], [2.5]], 3))):
+            bits = quantize_gray2(values, thresholds)
+            assert bits.shape == (2 * values.size,)
+            assert bits.dtype == np.uint8
 
 
 class TestKdr:
@@ -161,12 +162,3 @@ class TestCsk:
         with pytest.raises(ValueError):
             csk(0.1, np.ones(2, dtype=np.uint8), np.ones(2, dtype=np.uint8), 0)
 
-
-class TestBitStream:
-    def test_rejects_odd_length(self):
-        with pytest.raises(ValueError):
-            BitStream(np.array([0, 1, 1], dtype=np.uint8), 2)
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            BitStream(np.array([0, 2], dtype=np.uint8), 1)

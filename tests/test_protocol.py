@@ -19,6 +19,7 @@ from lockeysim.protocol import (
     measure_round,
     run_round,
 )
+from lockeysim.ris import surface_aggregates
 
 CFG = build_config({})
 
@@ -64,17 +65,13 @@ class TestMeasureRound:
     def test_full_attack_difference_oracle(self):
         # identity filters, noiseless, every unit re-randomized: the pair
         # differs exactly by the cascaded response times the aggregate gap
-        from lockeysim.ris import aggregate_phase, apply_jamming, random_ris_state
-        from lockeysim._rng import substream
-
         env = make_env(attacked=30, profiles=identity_profiles())
         stream = (4,)
         h_a1, h_b1 = measure_round(env, stream)
         freqs = env.ofdm.pilot_freqs
-        state_first = random_ris_state(30, substream(stream, 0))
-        state_second = apply_jamming(state_first, env.attacked, substream(stream, 1))
+        phi_first, phi_second = surface_aggregates(30, env.attacked, stream)
         cascade = frequency_response(env._link(1), freqs) * frequency_response(env._link(2), freqs)
-        expected = cascade * (aggregate_phase(state_second) - aggregate_phase(state_first))
+        expected = cascade * (phi_second - phi_first)
         np.testing.assert_allclose(h_a1 - h_b1, expected, rtol=1e-9)
 
 
@@ -100,9 +97,6 @@ class TestLoopbackCombine:
     def test_expansion_oracle(self):
         # noiseless general case: the loop-back estimate equals the product
         # of the peer's first-slot estimate and the fresh band-2 response
-        from lockeysim.ris import aggregate_phase, apply_jamming, random_ris_state
-        from lockeysim._rng import substream
-
         env = make_env(attacked=7)
         stream_t, stream_tau = (8,), (9,)
         h_a1, h_b1 = measure_round(env, stream_t)
@@ -111,12 +105,11 @@ class TestLoopbackCombine:
         freqs = env.ofdm.pilot_freqs
         direct = frequency_response(env._link(3), freqs)
         cascade = frequency_response(env._link(4), freqs) * frequency_response(env._link(5), freqs)
-        state_first = random_ris_state(30, substream(stream_tau, 0))
-        state_second = apply_jamming(state_first, env.attacked, substream(stream_tau, 1))
+        phi_first, phi_second = surface_aggregates(30, env.attacked, stream_tau)
         fp_ba = fingerprint_response(env.profiles["bob_hf"], freqs)
         fp_ab = fingerprint_response(env.profiles["alice_hf"], freqs)
-        expected_a = fp_ba * (direct + cascade * aggregate_phase(state_first)) * h_b1
-        expected_b = fp_ab * (direct + cascade * aggregate_phase(state_second)) * h_a1
+        expected_a = fp_ba * (direct + cascade * phi_first) * h_b1
+        expected_b = fp_ab * (direct + cascade * phi_second) * h_a1
         np.testing.assert_allclose(h_a, expected_a, rtol=1e-9)
         np.testing.assert_allclose(h_b, expected_b, rtol=1e-9)
 
@@ -126,9 +119,6 @@ class TestPilotGrid:
     gives exactly the pilot columns of a full-width computation."""
 
     def test_noiseless_rounds_equal_full_width_products_at_the_pilots(self):
-        from lockeysim.ris import aggregate_phase, apply_jamming, random_ris_state
-        from lockeysim._rng import substream
-
         trials = 6
         env = make_env(attacked=7, trials=trials)
         stream_t, stream_tau = (23,), (24,)
@@ -144,9 +134,8 @@ class TestPilotGrid:
             direct = frequency_response(env._link(first_link), freqs)
             cascade = (frequency_response(env._link(first_link + 1), freqs)
                        * frequency_response(env._link(first_link + 2), freqs))
-            first = random_ris_state(env.n_units, substream(stream, 0), trials)
-            second = apply_jamming(first, env.attacked, substream(stream, 1))
-            return tuple(direct + cascade * aggregate_phase(state)[:, None] for state in (first, second))
+            aggregates = surface_aggregates(env.n_units, env.attacked, stream, trials)
+            return tuple(direct + cascade * phi[:, None] for phi in aggregates)
 
         # slot 1: Alice probes first; slot 2: Bob loops back first
         air_1, air_2 = slot_channels(0, stream_t)

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ._rng import Stream, as_rng, substream
+from .ris import _phasors
 
 #: Noise variance assumed by every closed form.
 NOISE_VAR = 1.0
@@ -74,6 +75,30 @@ class ModelStats:
         return self.var_ab ** 2
 
 
+#: Rows per block of `_cross_sum`: its one reused buffer is 256 KiB per
+#: column, so it stays in cache instead of costing a full-length product.
+_SUM_BLOCK = 16_384
+
+
+def _cross_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum(x * conj(y))`` along the first axis of two equal-shape complex
+    arrays, any strides; ``_cross_sum(z, z).real`` is ``sum(|z|**2)``.
+
+    One pass in blocks of `_SUM_BLOCK` rows through one reused buffer, so
+    no temporary the size of the inputs is made.  It calls no BLAS routine,
+    whose sums change with its thread count.
+    """
+    rows = len(x)
+    block = np.empty((min(rows, _SUM_BLOCK), *x.shape[1:]), dtype=complex)
+    total = np.zeros(x.shape[1:], dtype=complex)
+    for start in range(0, rows, _SUM_BLOCK):
+        stop = min(start + _SUM_BLOCK, rows)
+        product = np.conjugate(y[start:stop], out=block[: stop - start])
+        product *= x[start:stop]
+        total += product.sum(axis=0)
+    return total
+
+
 def correlation(xs, ys) -> complex:
     """Correlation coefficient of two complex sample sets.
 
@@ -82,18 +107,17 @@ def correlation(xs, ys) -> complex:
     for zero-mean inputs this is the ordinary complex correlation
     coefficient and ``correlation(x, x) == 1``.
     """
-    xs = np.asarray(xs, dtype=complex).ravel()
-    ys = np.asarray(ys, dtype=complex).ravel()
+    xs = np.asarray(xs, dtype=complex).reshape(-1)
+    ys = np.asarray(ys, dtype=complex).reshape(-1)
     if xs.size != ys.size:
         raise ValueError(f"sample sets differ in length: {xs.size} vs {ys.size}")
     if xs.size < 2:
         raise ValueError("need at least 2 samples")
-    denom = math.sqrt(float(np.mean(np.abs(xs) ** 2))) * math.sqrt(
-        float(np.mean(np.abs(ys) ** 2))
-    )
+    n = xs.size
+    denom = math.sqrt(_cross_sum(xs, xs).real / n) * math.sqrt(_cross_sum(ys, ys).real / n)
     if denom == 0.0:
         raise DegenerateSampleError("degenerate samples: zero second moment")
-    num = np.mean(xs * np.conj(ys)) - np.mean(xs) * np.conj(np.mean(ys))
+    num = complex(_cross_sum(xs, ys)) / n - np.mean(xs) * np.conj(np.mean(ys))
     return complex(num / denom)
 
 
@@ -153,14 +177,14 @@ class PredictionError:
 
 def empirical_mse(predicted, actual) -> PredictionError:
     """Errors between a predicted and an actually measured sample set."""
-    predicted = np.asarray(predicted, dtype=complex).ravel()
-    actual = np.asarray(actual, dtype=complex).ravel()
+    predicted = np.asarray(predicted, dtype=complex).reshape(-1)
+    actual = np.asarray(actual, dtype=complex).reshape(-1)
     if predicted.size != actual.size:
         raise ValueError("predicted and actual sample counts differ")
     if predicted.size == 0:
         raise ValueError("empty sample set")
     errors = predicted - actual
-    return PredictionError(errors, float(np.mean(np.abs(errors) ** 2)))
+    return PredictionError(errors, float(_cross_sum(errors, errors).real) / errors.size)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +260,9 @@ def _complex_normal(rng, var: float, m: int, out=None) -> np.ndarray:
 
 
 def _unit_phasors(rng, m: int) -> np.ndarray:
-    """`m` unit phasors of uniform phase."""
-    phase = rng.uniform(0.0, 2.0 * np.pi, m)
-    out = np.empty(m, dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    return out
+    """`m` unit phasors of uniform phase: one ``uniform(0, 2*pi, m)`` draw,
+    turned into phasors by the surface's half-angle helper `ris._phasors`."""
+    return _phasors(rng.uniform(0.0, 2.0 * np.pi, m))
 
 
 def _filter_coupling(stats: ModelStats) -> float:

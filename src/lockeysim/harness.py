@@ -119,7 +119,9 @@ def run_cell(config: ExperimentConfig, snr_db: float, n_units: int, attacked: in
     All schemes read one shared round.  A degenerate sample block becomes a
     row flagged ``error: ...``: every row of the point when the shared round
     raised it (a gamma fit), only the scheme's own row when its metrics did.
-    Any other exception is a fault of the program and propagates.
+    Any other exception is a fault of the program and propagates.  A row
+    whose ``csk_info`` sits at `keygen.INFO_RATE_CAP` keeps its values and
+    is flagged ``capped: ...``.
     """
     try:
         if Scheme.LOCKEY not in config.schemes:
@@ -194,6 +196,7 @@ def _scheme_row(config, scheme, snr_db, n_units, attacked, alice, bob, gamma, st
         csk_info=metrics.csk_information,
         kdr=metrics.kdr,
         trials=config.trials,
+        flag=f"capped: csk_info held at {keygen.INFO_RATE_CAP:g} bits" if metrics.information_capped else "",
     )
 
 

@@ -35,7 +35,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ._rng import Stream, substream
-from .analysis import DegenerateSampleError
+from .analysis import DegenerateSampleError, _cross_sum
 from .fading import FadingProcess, fingerprint_response, frequency_response, make_fading_process
 from .ofdm import OfdmConfig, generate_pilot, ls_estimate, probe
 from .ris import surface_aggregates
@@ -204,10 +204,10 @@ def estimate_gamma(history_a, history_b, min_rounds: int = 200) -> np.ndarray:
         raise ValueError(
             f"history of {h_a.shape[0]} rounds is shorter than the minimum {min_rounds}"
         )
-    denom = np.sum(np.abs(h_a) ** 2, axis=0)
+    denom = _cross_sum(h_a, h_a).real
     if np.any(denom == 0):
         raise DegenerateSampleError("degenerate history: a subcarrier has all-zero reference values")
-    return np.sum(h_b * np.conj(h_a), axis=0) / denom
+    return _cross_sum(h_b, h_a) / denom
 
 
 def estimate_round_gamma(h_a, h_b):

@@ -287,6 +287,19 @@ class TestMetricsColumns:
         assert not math.isnan(lockey.mse_analytic)
         assert all(not r.flag for r in (non, lofi, lockey))
 
+    def test_capped_information_rate_flags_the_row(self):
+        # noiseless and unattacked, the loop-back products of the two sides
+        # agree, so |rho| is within 1e-4 of 1 and csk_info hits the cap
+        from lockeysim.keygen import INFO_RATE_CAP
+
+        config = tiny_config(**{"harness.trials": 200})
+        non, lofi, lockey = run_cell(config, 300.0, 30, 0)
+        for row in (lofi, lockey):
+            assert row.csk_info == INFO_RATE_CAP
+            assert row.flag == "capped: csk_info held at 10 bits"
+            assert not math.isnan(row.rho_empirical)
+        assert non.csk_info < INFO_RATE_CAP and not non.flag
+
     def test_degenerate_block_flags_the_row(self, monkeypatch):
         from lockeysim import harness
         from lockeysim.analysis import DegenerateSampleError
@@ -346,9 +359,14 @@ class TestMetricsColumns:
         # mean of the aggregates the surface generator actually produces
         from lockeysim.ris import surface_aggregates
 
+        # Ten pooled 20,000-trial draws: the pooled mean of 200,000
+        # aggregates of 30 units has per-component sd sqrt(15 / 200,000), so
+        # it exceeds 0.05 in magnitude with probability exp(-0.05**2 *
+        # 200,000 / 30) = 6e-8, while one draw alone would on 19 % of streams.
         config = tiny_config()
         stats = model_stats_for_cell(config, 10.0, 30)
-        phi_first, phi_second = surface_aggregates(30, 5, (77,), trials=20_000)
+        draws = [surface_aggregates(30, 5, (77, i), trials=20_000) for i in range(10)]
+        phi_first, phi_second = (np.concatenate(side) for side in zip(*draws))
         assert abs(np.mean(phi_first) - stats.a) < 0.05
         assert abs(np.mean(phi_second) - stats.b) < 0.05
 

@@ -7,6 +7,8 @@ from lockeysim import ris
 from lockeysim._rng import as_rng, batch_shape, substream
 from lockeysim.ris import surface_aggregates
 
+EPS = np.finfo(float).eps
+
 
 def drawn_phases(n_units, attacked, stream, trials=None):
     """The draws `surface_aggregates` documents, rebuilt from its two
@@ -23,6 +25,19 @@ def drawn_phases(n_units, attacked, stream, trials=None):
 
 def phasor_sum(phases):
     return np.sum(np.exp(1j * phases), axis=-1)
+
+
+class TestPhasors:
+    """The half-angle helper behind every unit phasor of the package."""
+
+    def test_matches_complex_exponential(self):
+        edges = [0.0, np.nextafter(np.pi, 0.0), np.pi, np.nextafter(2.0 * np.pi, 0.0)]
+        phases = np.concatenate([np.random.default_rng(40).uniform(0.0, 2.0 * np.pi, 1_000_000), edges])
+        phasors = ris._phasors(phases.copy())
+        assert phasors.dtype == complex and phasors.shape == phases.shape
+        assert np.max(np.abs(phasors - np.exp(1j * phases))) <= 4 * EPS
+        assert np.max(np.abs(np.abs(phasors) - 1.0)) <= 4 * EPS
+        assert phasors[-4] == 1.0 and phasors[-2].real == -1.0
 
 
 class TestRisState:
@@ -75,10 +90,11 @@ class TestAggregatePhase:
                 assert abs(phi) <= 30 + 1e-12
 
     def test_batch_equals_complex_exponential_sum(self):
+        # each of the 30 half-angle phasors lies within 4 eps of exp(1j * phase)
         got = surface_aggregates(30, 9, (9,), trials=200)
         for phi, phases in zip(got, drawn_phases(30, 9, (9,), trials=200)):
             assert phi.shape == (200,)
-            np.testing.assert_array_equal(phi, phasor_sum(phases))
+            np.testing.assert_allclose(phi, phasor_sum(phases), rtol=0, atol=30 * 4 * EPS)
 
 
 class TestApplyJamming:

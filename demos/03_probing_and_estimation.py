@@ -1,35 +1,31 @@
-"""OFDM probing and least-squares channel estimation.
+"""The probed subcarrier grid and the probe noise floor.
 
-Sends a pilot through a composite channel (direct + surface cascade +
-hardware filter) on the pilot subcarriers, the only ones the kernel
-simulates, and shows the exact noiseless inverse and the noise floor at
-finite SNR.
+Every 5th of the 64 subcarriers is probed; each party's channel estimate
+there is the composite channel (direct + surface cascade, times the
+sender's hardware filter) plus the probe's noise.  Shows the grid and the
+noise floor of a first-slot estimate against SNR under the unit noise
+reference.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from lockeysim.fading import ALICE_BOB_PROFILE, make_fading_process, frequency_response
-from lockeysim.ofdm import OfdmConfig, generate_pilot, ls_estimate, probe
+from lockeysim.config import build_config
+from lockeysim.protocol import Environment, measure_round
 
-config = OfdmConfig()
-freqs = config.pilot_freqs
-print(f"== {freqs.size} of {config.symbol_length} subcarriers carry a pilot "
-      f"(every {config.pilot_interval}th) ==")
-pilot = generate_pilot(config, (1,))
-h = frequency_response(make_fading_process(ALICE_BOB_PROFILE, (2,)), freqs)
-flat = np.ones(freqs.size, dtype=complex)
+config = build_config({})
+grid = config.ofdm
+print(f"== {grid.pilot_positions.size} of {grid.symbol_length} subcarriers are probed "
+      f"(every {grid.pilot_interval}th) ==")
+print(f"  indices      {grid.pilot_positions.tolist()}")
+print(f"  offsets kHz  {(grid.pilot_freqs / 1e3).tolist()}")
 
-print("\n== noiseless estimation is exact at pilot subcarriers ==")
-received = probe(pilot, h, np.zeros_like(h), flat, None, (3,))
-estimate = ls_estimate(received, pilot, config)
-err = np.max(np.abs(estimate - h))
-print(f"  max |H_hat - H| at pilots: {err:.2e}")
-
-print("\n== estimation error vs SNR (noise referenced to unit pilot power) ==")
+print("\n== estimate noise vs SNR (unit reference: variance 10**(-snr/10)) ==")
 rounds = 400
-pilots = generate_pilot(config, (1,), trials=rounds)
 for snr in (0.0, 10.0, 20.0, 30.0):
-    noisy = probe(pilots, h, np.zeros_like(h), flat, snr, (4, int(snr)))
-    error = np.mean(np.abs(ls_estimate(noisy, pilots, config) - h) ** 2)
-    print(f"  snr {snr:5.1f} dB: error power {error:.4f} "
-          f"(expected {10 ** (-snr / 10):.4f})")
+    env = Environment(grid, config.profiles, 30, 5, snr, (1,), noise_ref=1.0, trials=rounds)
+    noisy = measure_round(env, (2,))
+    clean = measure_round(replace(env, snr_db=None), (2,))
+    floor = np.mean([np.mean(np.abs(got - want) ** 2) for got, want in zip(noisy, clean)])
+    print(f"  snr {snr:5.1f} dB: noise power {floor:.4f} (expected {10 ** (-snr / 10):.4f})")

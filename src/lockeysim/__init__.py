@@ -33,13 +33,12 @@ from .fading import (
 )
 from .harness import ResultRow, emit_csv, preset_config, run_cell, run_sweep
 from .keygen import KeyMetrics, compute_thresholds, csk, kdr, quantize_gray2
-from .ofdm import OfdmConfig, generate_pilot, ls_estimate, probe
+from .ofdm import OfdmConfig
 from .protocol import (
     GAMMA_PER_ROUND,
     Environment,
     Scheme,
     apply_compensation,
-    build_environment,
     estimate_gamma,
     estimate_round_gamma,
     loopback_combine,

@@ -169,14 +169,13 @@ def gamma_analytic(stats: ModelStats) -> float:
 
 @dataclass(frozen=True)
 class PredictionError:
-    """Per-sample prediction errors and their mean squared magnitude."""
+    """Mean squared magnitude of the errors of a prediction."""
 
-    errors: np.ndarray
     mse: float
 
 
 def empirical_mse(predicted, actual) -> PredictionError:
-    """Errors between a predicted and an actually measured sample set."""
+    """Mean squared error between a predicted and an actually measured sample set."""
     predicted = np.asarray(predicted, dtype=complex).reshape(-1)
     actual = np.asarray(actual, dtype=complex).reshape(-1)
     if predicted.size != actual.size:
@@ -184,7 +183,7 @@ def empirical_mse(predicted, actual) -> PredictionError:
     if predicted.size == 0:
         raise ValueError("empty sample set")
     errors = predicted - actual
-    return PredictionError(errors, float(_cross_sum(errors, errors).real) / errors.size)
+    return PredictionError(float(_cross_sum(errors, errors).real) / errors.size)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from . import analysis, keygen
 from ._rng import substream
 from .config import ExperimentConfig, build_config
 from .fading import fingerprint_response
-from .protocol import GAMMA_PER_ROUND, Scheme, build_environment, estimate_gamma, run_round
+from .protocol import GAMMA_PER_ROUND, Environment, Scheme, estimate_gamma, run_round
 
 #: (lead, tag) stream-key parts of the measured block and the training window.
 #: They are the keys the lockey cell and its training window had when each
@@ -66,8 +66,8 @@ def _run_block(config: ExperimentConfig, snr_db, n_units, attacked, gamma, block
         raise ValueError("snr_db out of the encodable range")
     lead, tag = block
     stream = (int(config.master_seed), lead, snr_key, int(n_units), int(attacked), tag)
-    env = build_environment(config.ofdm, config.profiles, n_units, attacked, snr_db, substream(stream, 0),
-                            noise_ref=config.noise_ref, trials=trials)
+    env = Environment(config.ofdm, config.profiles, n_units, attacked, snr_db, substream(stream, 0),
+                      noise_ref=config.noise_ref, trials=trials)
     return run_round(env, gamma, substream(stream, 1))
 
 

@@ -1,4 +1,4 @@
-"""OFDM pilot generation, probing, and least-squares channel estimation.
+"""The OFDM probing grid.
 
 Everything happens in the frequency domain.  The cyclic prefix (16 samples
 at the 960 kHz occupied bandwidth, i.e. 16.7 us) exceeds the bundled delay
@@ -6,24 +6,20 @@ spreads, so each subcarrier sees a purely multiplicative channel and no
 time-domain convolution is simulated.  Subcarriers are therefore
 independent of each other, and only the pilot subcarriers (every
 `pilot_interval`-th of the `symbol_length`) carry an estimate a key is
-extracted from: pilots, probes and estimates hold one entry per pilot
+extracted from: every probe and estimate holds one entry per pilot
 subcarrier, and the subcarriers between the pilots are never simulated.
-Every function also works on a batch of symbols, one trial per row along a
-leading axis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from ._rng import Stream, as_rng, batch_shape
-from .fading import add_awgn
-
-_QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
+# Not used here.  perfbench's tracer test checks that its `as_rng` wrapper
+# reaches every lockeysim namespace that imports it, this one included.
+from ._rng import as_rng  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -69,61 +65,3 @@ class OfdmConfig:
     def pilot_freqs(self) -> np.ndarray:
         """Baseband offsets in Hz of the pilot subcarriers, the grid every probe uses."""
         return self.subcarrier_freqs[self.pilot_positions]
-
-
-def generate_pilot(config: OfdmConfig, stream: Stream, trials: Optional[int] = None) -> np.ndarray:
-    """Unit-magnitude QPSK pilot symbols, one per pilot subcarrier (and per
-    trial): shape ``([trials,] pilot_positions.size)``.
-
-    Both parties know the pilot, so the same stream id must be used for
-    every probe of a round.
-    """
-    rng = as_rng(stream)
-    idx = rng.integers(0, 4, size=batch_shape(trials, config.pilot_positions.size))
-    return _QPSK[idx]
-
-
-def probe(
-    pilot,
-    direct,
-    cascaded,
-    fingerprint,
-    snr_db: Optional[float],
-    stream: Stream,
-    ref_power: Optional[float] = 1.0,
-) -> np.ndarray:
-    """Received symbols after one probe through a composite channel.
-
-    Per subcarrier k the output is
-    ``fingerprint[k] * (direct[k] + cascaded[k]) * pilot[k] + noise[k]``.
-
-    Noise follows the unit-reference convention by default (`ref_power`
-    1.0): its variance is ``10**(-snr_db/10)`` independent of the channel
-    realization, matching a model that pins the noise variance and lets the
-    channel carry the gain.  Pass ``ref_power=None`` to reference the SNR to
-    the mean received power over the probed subcarriers instead.
-    """
-    pilot = np.asarray(pilot, dtype=complex)
-    direct = np.asarray(direct, dtype=complex)
-    cascaded = np.asarray(cascaded, dtype=complex)
-    fingerprint = np.asarray(fingerprint, dtype=complex)
-    if not (pilot.shape[-1:] == direct.shape[-1:] == cascaded.shape[-1:] == fingerprint.shape[-1:]):
-        raise ValueError("pilot, direct, cascaded and fingerprint must share one length")
-    clean = fingerprint * (direct + cascaded) * pilot
-    return add_awgn(clean, snr_db, stream, ref_power=ref_power)
-
-
-def ls_estimate(received, pilot, config: OfdmConfig) -> np.ndarray:
-    """Least-squares channel estimate from one received probe:
-    ``received / pilot`` on every pilot subcarrier.
-
-    `received` and `pilot` hold one entry per pilot subcarrier along the
-    last axis, ``config.pilot_positions.size`` of them.
-    """
-    received = np.asarray(received, dtype=complex)
-    pilot = np.asarray(pilot, dtype=complex)
-    if received.shape != pilot.shape or received.shape[-1:] != config.pilot_positions.shape:
-        raise ValueError("received and pilot must have one entry per pilot subcarrier")
-    if np.any(pilot == 0):
-        raise ValueError("pilot symbols must be non-zero")
-    return received / pilot

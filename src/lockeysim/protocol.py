@@ -21,9 +21,9 @@ the slots is modelled.  The surface enters a slot only through its two
 aggregates from `ris.surface_aggregates`, one per probe, each scaling the
 slot's cascaded product ``h_ar * h_rb``.
 
-An environment drawn with ``trials=T`` holds T independent rounds along a
+An environment built with ``trials=T`` holds T independent rounds along a
 leading array axis, and every function below runs all of them at once; an
-environment drawn without `trials` is one round with unbatched shapes.
+environment built without `trials` is one round with unbatched shapes.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import numpy as np
 
 from ._rng import Stream, substream
 from .analysis import DegenerateSampleError, _cross_sum
-from .fading import FadingProcess, fingerprint_response, frequency_response, make_fading_process
-from .ofdm import OfdmConfig, generate_pilot, ls_estimate, probe
+from .fading import FadingProcess, add_awgn, fingerprint_response, frequency_response, make_fading_process
+from .ofdm import OfdmConfig
 from .ris import surface_aggregates
 
 
@@ -65,21 +65,25 @@ class Environment:
     """Everything one probing round (or a block of `trials` rounds) needs,
     spanning both coherence slots.
 
+    `profiles` maps the keys ``alice_bob``, ``alice_ris``, ``ris_bob``,
+    ``alice_hf`` and ``bob_hf`` to tap profiles; the last two are each
+    direction's hardware filter: ``alice_hf`` for Alice's transmissions,
+    ``bob_hf`` for Bob's.  `attacked` units of the surface are re-randomized
+    between the two probes of each slot.
+
     The fading is not stored: each link's realization is drawn from the
-    environment's stream when a slot reads it.  The same stream always
-    gives the same realization.  `profiles` also holds each direction's
-    hardware filter: ``alice_hf`` for Alice's transmissions, ``bob_hf`` for
-    Bob's.  `attacked` units of the surface are re-randomized between the
-    two probes of each slot.
+    environment's stream when a slot reads it, so the same stream always
+    gives the same realization.  The two bands get independent realizations
+    of the same profiles (stream indices 0-2 and 3-5); the band carrier
+    frequencies only label which realization a probe uses.
     """
 
     ofdm: OfdmConfig
     profiles: dict
-    stream: Stream
     n_units: int
     attacked: int
     snr_db: Optional[float]
-    pilot: np.ndarray
+    stream: Stream
     noise_ref: Optional[float] = 1.0
     trials: Optional[int] = None
 
@@ -96,67 +100,44 @@ class Environment:
                                    self.trials)
 
 
-def build_environment(
-    ofdm: OfdmConfig,
-    profiles: dict,
-    n_units: int,
-    attacked: int,
-    snr_db: Optional[float],
-    stream: Stream,
-    noise_ref: Optional[float] = 1.0,
-    trials: Optional[int] = None,
-) -> Environment:
-    """Draw a fresh environment realization, or `trials` independent ones.
-
-    `profiles` maps the keys ``alice_bob``, ``alice_ris``, ``ris_bob``,
-    ``alice_hf`` and ``bob_hf`` to tap profiles.  The two bands get
-    independent fading realizations of the same profiles (stream indices
-    0-2 and 3-5, drawn when a round reads them); the band carrier
-    frequencies only label which realization a probe uses.
-    """
-    pilot = generate_pilot(ofdm, substream(stream, 6), trials)
-    return Environment(
-        ofdm=ofdm,
-        profiles=profiles,
-        stream=stream,
-        n_units=n_units,
-        attacked=attacked,
-        snr_db=snr_db,
-        pilot=pilot,
-        noise_ref=noise_ref,
-        trials=trials,
-    )
-
-
 def _exchange(env: Environment, first_link: int, stream: Stream, probes):
     """The two probes of one coherence slot, on the band whose links start at
     stream index `first_link`.
 
-    `probes` yields the ``(sender, symbols)`` pair of each probe in the order
+    `probes` yields the ``(sender, payload)`` pair of each probe in the order
     they are sent; the sender, ``"alice"`` or ``"bob"``, selects the
-    transmit filter.  Both probes share one fading realization per link
+    transmit filter, and the payload (None for a bare probe) multiplies the
+    channel.  Both probes share one fading realization per link
     (reciprocity within the slot) and so one cascaded product, which each
     probe scales by its own surface aggregate: the second probe's has the
     `attacked` units redrawn.  Every response is evaluated on the pilot
-    subcarriers only.  Returns the receivers' least-squares estimates in
-    probe order.
+    subcarriers only.  Returns the receivers' channel estimates in probe
+    order: ``filter * (direct + cascade * aggregate) * payload`` plus the
+    probe's noise.
+
+    No pilot symbol is drawn.  A least-squares estimate from a known
+    unit-modulus pilot p is that same channel plus ``noise / p``, and since
+    p is drawn independently of the noise and the noise is i.i.d. circular
+    Gaussian, rotating it by p leaves its law unchanged: an estimate is
+    distributed exactly as the channel plus the noise itself.  Because
+    ``|p|**2 == 1`` the `measured` noise reference, the mean received power
+    of the probe, is the same with or without the pilot.
     """
     freqs = env.ofdm.pilot_freqs
     direct, h_ar, h_rb = (frequency_response(env._link(i), freqs) for i in range(first_link, first_link + 3))
     cascade = h_ar * h_rb
     aggregates = surface_aggregates(env.n_units, env.attacked, stream, env.trials)
-    return tuple(
-        ls_estimate(probe(
-            symbols, direct, cascade * phi[..., None],
-            fingerprint_response(env.profiles[f"{sender}_hf"], freqs), env.snr_db,
-            substream(stream, noise_index), ref_power=env.noise_ref,
-        ), env.pilot, env.ofdm)
-        for noise_index, phi, (sender, symbols) in zip((2, 3), aggregates, probes)
-    )
+    estimates = []
+    for noise_index, phi, (sender, payload) in zip((2, 3), aggregates, probes):
+        clean = fingerprint_response(env.profiles[f"{sender}_hf"], freqs) * (direct + cascade * phi[..., None])
+        if payload is not None:
+            clean *= payload
+        estimates.append(add_awgn(clean, env.snr_db, substream(stream, noise_index), ref_power=env.noise_ref))
+    return tuple(estimates)
 
 
 def measure_round(env: Environment, stream: Stream, swap_roles: bool = False):
-    """First-slot probe exchange of the pilot on band 1, Alice probing first.
+    """First-slot probe exchange on band 1, Alice probing first.
 
     Returns ``(H_A1, H_B1)``: the estimate measured by each party.
 
@@ -165,7 +146,7 @@ def measure_round(env: Environment, stream: Stream, swap_roles: bool = False):
     symmetry of the protocol exactly.
     """
     order = ("bob", "alice") if swap_roles else ("alice", "bob")
-    first, second = _exchange(env, 0, stream, [(sender, env.pilot) for sender in order])
+    first, second = _exchange(env, 0, stream, [(sender, None) for sender in order])
     # each estimate belongs to the party that received the probe
     return (first, second) if swap_roles else (second, first)
 
@@ -174,17 +155,15 @@ def loopback_combine(first_round, env: Environment, stream: Stream, swap_roles: 
     """Second-slot retransmission of the first-slot estimates on band 2, Bob
     looping back first (Alice first with ``swap_roles``).
 
-    Each party modulates the pilot with the estimate it obtained in the
-    first slot and sends it through the band-2 channel, so the peer's
-    least-squares estimate is the product of both directions' responses:
+    Each party sends the estimate it obtained in the first slot through the
+    band-2 channel, so the peer's estimate is the product of both
+    directions' responses:
     the direction-filter pair appears on both sides and cancels from their
     ratio.  Returns ``(H_A, H_B)``, the mutual estimates at each party.
     """
     h_a1, h_b1 = first_round
     order = (("alice", h_a1), ("bob", h_b1)) if swap_roles else (("bob", h_b1), ("alice", h_a1))
-    # a generator: each payload is built when its probe is sent, so one
-    # (trials, pilots) payload is alive at a time
-    first, second = _exchange(env, 3, stream, ((sender, env.pilot * carried) for sender, carried in order))
+    first, second = _exchange(env, 3, stream, order)
     return (second, first) if swap_roles else (first, second)
 
 

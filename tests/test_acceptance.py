@@ -24,8 +24,8 @@ from lockeysim.config import build_config
 from lockeysim.harness import emit_csv, preset_config, run_sweep, sweep_cells
 from lockeysim.protocol import (
     GAMMA_PER_ROUND,
+    Environment,
     Scheme,
-    build_environment,
     estimate_gamma,
     run_round,
 )
@@ -67,7 +67,7 @@ def test_criterion_01_hardware_cancellation_exactness():
     config = build_config({})
     rel = 0.0
     for trials in (None, 256):
-        env = build_environment(
+        env = Environment(
             config.ofdm, config.profiles, 30, 0, None, (101,), trials=trials,
         )
         alice, bob = run_round(env, None, (102,))[0][Scheme.LOOPBACK]

@@ -34,6 +34,37 @@ class TestSimulate:
         assert len(lines) == 1 + 3  # header + 3 schemes x 1 snr
         assert lines[0].startswith("scheme,snr_db,")
 
+    def test_capped_rows_are_listed_but_exit_zero(self, tmp_path, capsys):
+        # noiseless loop-back without attack: loopback and lockey hold csk_info
+        # at the cap, valid values that do not fail the run
+        config = tmp_path / "capped.yaml"
+        config.write_text("harness.snr_grid_db: [300.0]\nharness.attacked_grid: [0]\nharness.trials: 200\n")
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", str(config), "--output", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "wrote 3 rows" in captured.out and "(2 flagged)" in captured.out
+        err = captured.err
+        for scheme in ("loopback", "lockey"):
+            assert f"flagged cell {scheme}, 300.0 dB, 30 units, 0 attacked: capped:" in err
+        assert "non_loopback" not in err
+
+    def test_error_rows_exit_one_naming_each_cell(self, tmp_path, capsys, monkeypatch):
+        from lockeysim import harness
+        from lockeysim.analysis import DegenerateSampleError
+
+        def degenerate(values):
+            raise DegenerateSampleError("degenerate sample block: quartile thresholds are not distinct")
+
+        monkeypatch.setattr(harness.keygen, "compute_thresholds", degenerate)
+        config = tmp_path / "tiny.yaml"
+        config.write_text("harness.snr_grid_db: [10.0]\nharness.schemes: [lockey]\nharness.trials: 8\n")
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", str(config), "--preset", "fig5b", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        # fig5b's three attack levels are told apart
+        for attacked in (2, 10, 20):
+            assert f"flagged cell lockey, 10.0 dB, 30 units, {attacked} attacked: error:" in err
+
     def test_trials_override(self, tmp_path):
         config = tmp_path / "tiny.yaml"
         config.write_text("harness.snr_grid_db: [10.0]\nharness.schemes: [lockey]\n")

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import re
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lockeysim.config import ConfigError, build_config, load_config
 from lockeysim.harness import (
@@ -21,6 +24,20 @@ from lockeysim.harness import (
 )
 from lockeysim.ofdm import OfdmConfig
 from lockeysim.protocol import Scheme
+
+
+#: SNR grid whose subsets and orderings the cell-independence test sweeps.
+INDEPENDENCE_GRID = (0.0, 10.0, 20.0, 30.0)
+
+
+def cell_key(row):
+    return row.scheme, row.snr_db, row.n_units, row.attacked_units
+
+
+@functools.cache
+def full_sweep_by_cell():
+    rows = run_sweep(tiny_config(**{"harness.snr_grid_db": list(INDEPENDENCE_GRID)}))
+    return {cell_key(row): row for row in rows}
 
 
 def tiny_config(**extra):
@@ -224,13 +241,17 @@ class TestSweep:
         emit_csv(run_sweep(config, jobs=2), str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_cell_independence(self):
-        # dropping one grid point leaves every other cell's row unchanged
-        full = run_sweep(tiny_config())
-        reduced = run_sweep(tiny_config(**{"harness.snr_grid_db": [20.0]}))
-        full_by_key = {(r.scheme, r.snr_db): r for r in full}
+    @settings(max_examples=10, deadline=None)
+    @given(grid=st.permutations(INDEPENDENCE_GRID).flatmap(
+        lambda order: st.integers(1, len(order)).map(lambda n: order[:n])))
+    def test_cell_independence(self, grid):
+        # any subset of the grid points, in any order, gives every cell the
+        # row it has in the full sweep
+        reduced = run_sweep(tiny_config(**{"harness.snr_grid_db": list(grid)}))
+        full_by_key = full_sweep_by_cell()
+        assert len(reduced) == 3 * len(grid)
         for row in reduced:
-            assert full_by_key[(row.scheme, row.snr_db)] == row
+            assert full_by_key[cell_key(row)] == row
 
     def test_different_seed_changes_results(self):
         base = run_sweep(tiny_config())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lockeysim.keygen import (
     GRAY2_CODES,
@@ -76,11 +78,15 @@ class TestQuantize:
         assert len(codes) == 4
         np.testing.assert_allclose(counts / len(symbols), 0.25, atol=0.01)
 
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(2)
-        values = rng.rayleigh(size=5000)
+    @settings(max_examples=30, deadline=None)
+    @given(scale=st.floats(1e-3, 1e3), trials=st.integers(4, 300), columns=st.integers(1, 13),
+           seed=st.integers(0, 2**32 - 1))
+    def test_scale_invariance(self, scale, trials, columns, seed):
+        # each party's own quartiles follow a common positive scaling of its
+        # magnitudes, so the bits of every (trials, columns) block are kept
+        values = np.random.default_rng(seed).rayleigh(size=(trials, columns))
         a = quantize_gray2(values, compute_thresholds(values))
-        scaled = 37.5 * values
+        scaled = scale * values
         b = quantize_gray2(scaled, compute_thresholds(scaled))
         np.testing.assert_array_equal(a, b)
 

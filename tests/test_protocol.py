@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from lockeysim._rng import substream
 from lockeysim.config import build_config
-from lockeysim.fading import TapProfile, fingerprint_response, frequency_response
+from lockeysim.fading import TapProfile, add_awgn, fingerprint_response, frequency_response
 from lockeysim.protocol import (
     GAMMA_PER_ROUND,
+    Environment,
     Scheme,
     apply_compensation,
-    build_environment,
     estimate_gamma,
     estimate_round_gamma,
     loopback_combine,
@@ -25,7 +25,7 @@ CFG = build_config({})
 
 
 def make_env(attacked=0, snr_db=None, n_units=30, stream=(1,), profiles=None, trials=None):
-    return build_environment(
+    return Environment(
         CFG.ofdm,
         profiles or CFG.profiles,
         n_units,
@@ -161,16 +161,53 @@ class TestPilotGrid:
         # power over the pilot subcarriers; rows of low and of high power
         # both see noise of exactly that variance
         snr_db = 10.0
-        env = build_environment(CFG.ofdm, CFG.profiles, 30, 5, snr_db, (26,), noise_ref=None, trials=4000)
+        env = Environment(CFG.ofdm, CFG.profiles, 30, 5, snr_db, (26,), noise_ref=None, trials=4000)
         noisy = measure_round(env, (27,))
         clean = measure_round(replace(env, snr_db=None), (27,))
         for got, want in zip(noisy, clean):
-            # unit-modulus pilots: the estimate's power is the received power
+            # an estimate is the received probe, so its power is the received power
             expected_var = np.mean(np.abs(want) ** 2, axis=-1) * 10.0 ** (-snr_db / 10.0)
             ratio = np.mean(np.abs(got - want) ** 2, axis=-1) / expected_var
             weak = expected_var < np.median(expected_var)
             assert np.mean(ratio[weak]) == pytest.approx(1.0, rel=0.05)
             assert np.mean(ratio[~weak]) == pytest.approx(1.0, rel=0.05)
+
+
+class TestProbeNoise:
+    """With the unit reference, an estimate is its noiseless value plus the
+    probe's own `add_awgn` draw: unrotated, of variance ``10**(-snr/10)``,
+    from the stream of its probe (index 2 for the first probe of a slot,
+    3 for the second)."""
+
+    SNR_DB = 10.0
+
+    @staticmethod
+    def unit_noise(shape, snr_db, stream, index):
+        return add_awgn(np.zeros(shape, dtype=complex), snr_db, substream(stream, index), ref_power=1.0)
+
+    @pytest.mark.parametrize("trials", [None, 2000])
+    def test_first_slot_noise_is_each_probes_own_draw(self, trials):
+        env = make_env(attacked=5, snr_db=self.SNR_DB, trials=trials)
+        stream = (28,)
+        noisy = measure_round(env, stream)
+        clean = measure_round(replace(env, snr_db=None), stream)
+        # Alice probes first, so Bob's estimate carries the first probe's noise
+        for got, want, index in zip(noisy, clean, (3, 2)):
+            draw = self.unit_noise(want.shape, self.SNR_DB, stream, index)
+            np.testing.assert_allclose(got - want, draw, rtol=0, atol=1e-12)
+            if trials:
+                assert np.mean(np.abs(got - want) ** 2) == pytest.approx(10.0 ** (-self.SNR_DB / 10.0), rel=0.05)
+
+    def test_second_slot_noise_is_each_probes_own_draw(self):
+        env = make_env(attacked=5, snr_db=self.SNR_DB, trials=50)
+        first = measure_round(replace(env, snr_db=None), (29,))
+        stream = (30,)
+        noisy = loopback_combine(first, env, stream)
+        clean = loopback_combine(first, replace(env, snr_db=None), stream)
+        # Bob loops back first, so Alice's estimate carries the first probe's noise
+        for got, want, index in zip(noisy, clean, (2, 3)):
+            draw = self.unit_noise(want.shape, self.SNR_DB, stream, index)
+            np.testing.assert_allclose(got - want, draw, rtol=0, atol=1e-12)
 
 
 class TestGamma:
@@ -289,7 +326,7 @@ class TestRunRound:
         cfg = CFG
         locked, plain = [], []
         for i in range(n):
-            env = build_environment(
+            env = Environment(
                 cfg.ofdm, cfg.profiles, 30, 10, 15.0, (14, i)
             )
             sources, _ = run_round(env, GAMMA_PER_ROUND, (15, i))
@@ -333,7 +370,7 @@ class TestLoopbackConvergence:
         profiles["bob_hf"] = profiles["alice_hf"]  # equal direction filters
         xs, ys = [], []
         for i in range(150):
-            env = build_environment(
+            env = Environment(
                 CFG.ofdm, profiles, 30, 0, 40.0, (20, i),
             )
             alice, bob = run_round(env, None, (21, i))[0][Scheme.LOOPBACK]

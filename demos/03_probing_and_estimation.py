@@ -25,7 +25,7 @@ print("\n== estimate noise vs SNR (unit reference: variance 10**(-snr/10)) ==")
 rounds = 400
 for snr in (0.0, 10.0, 20.0, 30.0):
     env = Environment(grid, config.profiles, 30, 5, snr, (1,), noise_ref=1.0, trials=rounds)
-    noisy = measure_round(env, (2,))
-    clean = measure_round(replace(env, snr_db=None), (2,))
+    noisy = measure_round(env)
+    clean = measure_round(replace(env, snr_db=None))
     floor = np.mean([np.mean(np.abs(got - want) ** 2) for got, want in zip(noisy, clean)])
     print(f"  snr {snr:5.1f} dB: noise power {floor:.4f} (expected {10 ** (-snr / 10):.4f})")

@@ -35,7 +35,6 @@ from .harness import ResultRow, emit_csv, preset_config, run_cell, run_sweep
 from .keygen import KeyMetrics, compute_thresholds, csk, kdr, quantize_gray2
 from .ofdm import OfdmConfig
 from .protocol import (
-    GAMMA_PER_ROUND,
     Environment,
     Scheme,
     apply_compensation,

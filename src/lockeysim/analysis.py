@@ -131,11 +131,8 @@ def rho1_analytic(stats: ModelStats) -> float:
 
 def rho2_analytic(stats: ModelStats) -> float:
     """Predicted correlation of the loop-back pair, before compensation."""
-    s4c, s4d = stats.s4_arb, stats.s4_ab
-    num = stats.g_a * stats.g_b * (stats.a ** 2 * stats.b ** 2 * s4c + s4d) + NOISE_VAR
-    den_a = math.sqrt(stats.g_a * (stats.a ** 2 * s4c + s4d) + NOISE_VAR)
-    den_b = math.sqrt(stats.g_b * (stats.b ** 2 * s4c + s4d) + NOISE_VAR)
-    return num / (den_a * den_b)
+    a_term, b_term, c_term = _quad_coeffs(stats)
+    return c_term / (math.sqrt(a_term) * math.sqrt(b_term))
 
 
 def _quad_coeffs(stats: ModelStats):

@@ -20,10 +20,9 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, keygen
-from ._rng import substream
 from .config import ExperimentConfig, build_config
 from .fading import fingerprint_response
-from .protocol import GAMMA_PER_ROUND, Environment, Scheme, estimate_gamma, run_round
+from .protocol import Environment, Scheme, estimate_gamma, loopback_combine, measure_round, run_round
 
 #: (lead, tag) stream-key parts of the measured block and the training window.
 #: They are the keys the lockey cell and its training window had when each
@@ -58,24 +57,23 @@ class ResultRow:
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
-def _run_block(config: ExperimentConfig, snr_db, n_units, attacked, gamma, block, trials):
-    """`trials` rounds of one point as one batched round, its streams keyed by
-    the point parameters only."""
+def _environment(config: ExperimentConfig, snr_db, n_units, attacked, block, trials) -> Environment:
+    """`trials` rounds of one point as one batched environment, keyed by the
+    point parameters only."""
     snr_key = int(round(snr_db * 1000.0)) + _SNR_KEY_OFFSET
     if snr_key < 0:
         raise ValueError("snr_db out of the encodable range")
     lead, tag = block
     stream = (int(config.master_seed), lead, snr_key, int(n_units), int(attacked), tag)
-    env = Environment(config.ofdm, config.profiles, n_units, attacked, snr_db, substream(stream, 0),
-                      noise_ref=config.noise_ref, trials=trials)
-    return run_round(env, gamma, substream(stream, 1))
+    return Environment(config.ofdm, config.profiles, n_units, attacked, snr_db, stream,
+                       noise_ref=config.noise_ref, trials=trials)
 
 
 def _train_gamma(config: ExperimentConfig, snr_db, n_units, attacked):
     """Per-subcarrier prediction scalar fitted on a separate training window."""
     window = config.gamma_window
-    sources, _ = _run_block(config, snr_db, n_units, attacked, None, _TRAIN_BLOCK, window)
-    return estimate_gamma(*sources[Scheme.LOOPBACK], min_rounds=window)
+    env = _environment(config, snr_db, n_units, attacked, _TRAIN_BLOCK, window)
+    return estimate_gamma(*loopback_combine(measure_round(env), env), min_rounds=window)
 
 
 def model_stats_for_cell(config: ExperimentConfig, snr_db: float, n_units: int) -> analysis.ModelStats:
@@ -124,13 +122,11 @@ def run_cell(config: ExperimentConfig, snr_db: float, n_units: int, attacked: in
     is flagged ``capped: ...``.
     """
     try:
-        if Scheme.LOCKEY not in config.schemes:
-            gamma = None
-        elif config.gamma_mode == "round":
-            gamma = GAMMA_PER_ROUND
-        else:
+        gamma = None
+        if config.gamma_mode == "window" and Scheme.LOCKEY in config.schemes:
             gamma = _train_gamma(config, snr_db, n_units, attacked)
-        sources, gamma = _run_block(config, snr_db, n_units, attacked, gamma, _MEASURE_BLOCK, config.trials)
+        env = _environment(config, snr_db, n_units, attacked, _MEASURE_BLOCK, config.trials)
+        sources, gamma = run_round(env, gamma)
     except analysis.DegenerateSampleError as exc:  # record, never drop silently
         return [_flagged_row(config, scheme, snr_db, n_units, attacked, exc) for scheme in config.schemes]
     stats = model_stats_for_cell(config, snr_db, n_units)

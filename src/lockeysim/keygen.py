@@ -30,9 +30,10 @@ class KeyMetrics:
     """Key-rate and disagreement summary of one measurement block.
 
     csk_bit_rate : agreeing key bits per subcarrier use (direct reading of
-        the rate definition, disagreeing bits discarded)
+        the rate definition, disagreeing bits discarded); with two bits per
+        subcarrier use it is ``2 * (1 - kdr)``, a function of `kdr`
     csk_information : Gaussian information estimate -log2(1 - rho^2) per
-        subcarrier use, a cross-check tied to the correlation analysis
+        subcarrier use, a function of the correlation it is given
     kdr : fraction of mismatched bits before reconciliation
     """
 
@@ -89,14 +90,20 @@ def quantize_gray2(values, thresholds) -> np.ndarray:
     return codes[levels].ravel()
 
 
-def kdr(bits_a, bits_b) -> float:
-    """Fraction of positions where the two bit streams disagree."""
+def _disagreeing(bits_a, bits_b) -> tuple:
+    """Number of positions where the two bit streams disagree, and their length."""
     a, b = np.asarray(bits_a), np.asarray(bits_b)
     if a.size != b.size:
         raise ValueError(f"bit streams differ in length: {a.size} vs {b.size}")
     if a.size == 0:
         raise ValueError("empty bit streams")
-    return float(np.count_nonzero(a != b)) / a.size
+    return int(np.count_nonzero(a != b)), a.size
+
+
+def kdr(bits_a, bits_b) -> float:
+    """Fraction of positions where the two bit streams disagree."""
+    disagreeing, size = _disagreeing(bits_a, bits_b)
+    return disagreeing / size
 
 
 def csk(rho_hat: float, bits_a, bits_b, subcarriers_used: int) -> KeyMetrics:
@@ -104,16 +111,13 @@ def csk(rho_hat: float, bits_a, bits_b, subcarriers_used: int) -> KeyMetrics:
 
     Two rates are reported: the number of agreeing bit positions per
     subcarrier use, and the information estimate ``-log2(1 - rho_hat^2)``.
-    A correlation magnitude at or above 1 caps the information estimate at
-    ``INFO_RATE_CAP`` and sets the flag.
+    The bit rate and the disagreement ratio come from one comparison of the
+    streams.  A correlation magnitude at or above 1 caps the information
+    estimate at ``INFO_RATE_CAP`` and sets the flag.
     """
     if subcarriers_used <= 0:
         raise ValueError("subcarriers_used must be > 0")
-    a, b = np.asarray(bits_a), np.asarray(bits_b)
-    if a.size != b.size:
-        raise ValueError("bit streams differ in length")
-    agreeing = int(np.count_nonzero(a == b))
-    bit_rate = agreeing / subcarriers_used
+    disagreeing, size = _disagreeing(bits_a, bits_b)
     rho_mag = abs(rho_hat)
     capped = rho_mag >= 1.0
     if capped:
@@ -121,5 +125,4 @@ def csk(rho_hat: float, bits_a, bits_b, subcarriers_used: int) -> KeyMetrics:
     else:
         information = min(-math.log2(1.0 - rho_mag ** 2), INFO_RATE_CAP)
         capped = information >= INFO_RATE_CAP
-    disagreement = kdr(a, b)
-    return KeyMetrics(bit_rate, information, disagreement, capped)
+    return KeyMetrics((size - disagreeing) / subcarriers_used, information, disagreeing / size, capped)

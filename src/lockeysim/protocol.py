@@ -24,19 +24,30 @@ slot's cascaded product ``h_ar * h_rb``.
 An environment built with ``trials=T`` holds T independent rounds along a
 leading array axis, and every function below runs all of them at once; an
 environment built without `trials` is one round with unbatched shapes.
+
+`Environment.stream` is the only key of a round; every draw of slot s
+(0 for the exchange, 1 for the loop-back) is keyed below it:
+
+- link i of ``alice_bob``, ``alice_ris``, ``ris_bob``: ``(stream, 0, 3*s + i)``;
+- the slot's two surface aggregates: ``(stream, 1, s)``;
+- the noise of the slot's first and second probe: ``(stream, 1, s, 2)`` and
+  ``(stream, 1, s, 3)``.
+
+The same environment therefore always gives the same round, and the two
+slots never share a draw.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from ._rng import Stream, substream
 from .analysis import DegenerateSampleError, _cross_sum
-from .fading import FadingProcess, add_awgn, fingerprint_response, frequency_response, make_fading_process
+from .fading import add_awgn, fingerprint_response, frequency_response, make_fading_process
 from .ofdm import OfdmConfig
 from .ris import surface_aggregates
 
@@ -49,15 +60,8 @@ class Scheme(enum.Enum):
     LOCKEY = "lockey"
 
 
-#: Sentinel for the prediction scalar fitted from the round's own
-#: subcarriers instead of a pre-trained per-subcarrier value.
-GAMMA_PER_ROUND = "per_round"
-
-Gamma = Union[complex, np.ndarray, str]
-
-
-#: Links of a band, in the order of their stream indices.
-_BAND_LINKS = ("alice_bob", "alice_ris", "ris_bob")
+#: Links of a slot, in the order of their stream indices.
+_SLOT_LINKS = ("alice_bob", "alice_ris", "ris_bob")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,11 +75,10 @@ class Environment:
     ``bob_hf`` for Bob's.  `attacked` units of the surface are re-randomized
     between the two probes of each slot.
 
-    The fading is not stored: each link's realization is drawn from the
-    environment's stream when a slot reads it, so the same stream always
-    gives the same realization.  The two bands get independent realizations
-    of the same profiles (stream indices 0-2 and 3-5); the band carrier
-    frequencies only label which realization a probe uses.
+    The fading is not stored: each link's realization is drawn from
+    `stream` when a slot reads it (see the module docstring for the keys).
+    The two slots get independent realizations of the same profiles; the
+    band carrier frequencies only label which realization a probe uses.
     """
 
     ofdm: OfdmConfig
@@ -93,16 +96,10 @@ class Environment:
         if not 0 <= self.attacked <= self.n_units:
             raise ValueError(f"attacked must lie in [0, n_units={self.n_units}], got {self.attacked}")
 
-    def _link(self, index: int) -> FadingProcess:
-        """Fading of link ``_BAND_LINKS[index % 3]`` on band ``index // 3 + 1``,
-        drawn from stream index `index`."""
-        return make_fading_process(self.profiles[_BAND_LINKS[index % 3]], substream(self.stream, index),
-                                   self.trials)
 
-
-def _exchange(env: Environment, first_link: int, stream: Stream, probes):
-    """The two probes of one coherence slot, on the band whose links start at
-    stream index `first_link`.
+def _exchange(env: Environment, slot: int, probes):
+    """The two probes of coherence slot `slot` (0 or 1), each draw keyed by
+    ``env.stream`` as the module docstring lays out.
 
     `probes` yields the ``(sender, payload)`` pair of each probe in the order
     they are sent; the sender, ``"alice"`` or ``"bob"``, selects the
@@ -124,8 +121,11 @@ def _exchange(env: Environment, first_link: int, stream: Stream, probes):
     of the probe, is the same with or without the pilot.
     """
     freqs = env.ofdm.pilot_freqs
-    direct, h_ar, h_rb = (frequency_response(env._link(i), freqs) for i in range(first_link, first_link + 3))
+    fading = (make_fading_process(env.profiles[link], substream(env.stream, 0, 3 * slot + i), env.trials)
+              for i, link in enumerate(_SLOT_LINKS))
+    direct, h_ar, h_rb = (frequency_response(link, freqs) for link in fading)
     cascade = h_ar * h_rb
+    stream = substream(env.stream, 1, slot)
     aggregates = surface_aggregates(env.n_units, env.attacked, stream, env.trials)
     estimates = []
     for noise_index, phi, (sender, payload) in zip((2, 3), aggregates, probes):
@@ -136,7 +136,7 @@ def _exchange(env: Environment, first_link: int, stream: Stream, probes):
     return tuple(estimates)
 
 
-def measure_round(env: Environment, stream: Stream, swap_roles: bool = False):
+def measure_round(env: Environment, swap_roles: bool = False):
     """First-slot probe exchange on band 1, Alice probing first.
 
     Returns ``(H_A1, H_B1)``: the estimate measured by each party.
@@ -146,12 +146,12 @@ def measure_round(env: Environment, stream: Stream, swap_roles: bool = False):
     symmetry of the protocol exactly.
     """
     order = ("bob", "alice") if swap_roles else ("alice", "bob")
-    first, second = _exchange(env, 0, stream, [(sender, None) for sender in order])
+    first, second = _exchange(env, 0, [(sender, None) for sender in order])
     # each estimate belongs to the party that received the probe
     return (first, second) if swap_roles else (second, first)
 
 
-def loopback_combine(first_round, env: Environment, stream: Stream, swap_roles: bool = False):
+def loopback_combine(first_round, env: Environment, swap_roles: bool = False):
     """Second-slot retransmission of the first-slot estimates on band 2, Bob
     looping back first (Alice first with ``swap_roles``).
 
@@ -163,7 +163,7 @@ def loopback_combine(first_round, env: Environment, stream: Stream, swap_roles: 
     """
     h_a1, h_b1 = first_round
     order = (("alice", h_a1), ("bob", h_b1)) if swap_roles else (("bob", h_b1), ("alice", h_a1))
-    first, second = _exchange(env, 3, stream, order)
+    first, second = _exchange(env, 1, order)
     return (second, first) if swap_roles else (first, second)
 
 
@@ -222,32 +222,29 @@ def apply_compensation(h_a, gamma) -> np.ndarray:
     return gamma * h_a
 
 
-def run_round(env: Environment, gamma: Optional[Gamma], stream: Stream, swap_roles: bool = False):
+def run_round(env: Environment, gamma=None, swap_roles: bool = False):
     """Execute one two-slot probing round and read every scheme's key sources
     from it.
 
     Returns ``(sources, gamma_applied)``.  `sources` maps each `Scheme` to
     its ``(alice, bob)`` pair: the first-slot estimates for the plain
     exchange, the loop-back products for the loop-back scheme, and for the
-    compensated scheme Alice's product times gamma with Bob's product.  The
-    compensated entry exists only when `gamma` is given: a per-subcarrier
-    array (pre-trained), a scalar, or ``GAMMA_PER_ROUND`` to fit one scalar
-    from each round's own pilot subcarriers (a ``(trials, 1)`` column for a
-    batched environment).  `gamma_applied` is the value the compensation
-    multiplied by, None without a `gamma`.  Key sources hold one entry per
-    pilot subcarrier: shape ``(pilot_positions.size,)``, or
+    compensated scheme Alice's product times gamma with Bob's product.
+    `gamma` is a pre-trained per-subcarrier array or a scalar; None fits
+    one scalar from each round's own pilot subcarriers (a ``(trials, 1)``
+    column for a batched environment).  `gamma_applied` is the value the
+    compensation multiplied by.  Key sources hold one entry per pilot
+    subcarrier: shape ``(pilot_positions.size,)``, or
     ``(trials, pilot_positions.size)`` for a batched environment.
-    Deterministic: identical environment and stream produce bit-identical
-    results.
+    Deterministic: an identical environment produces bit-identical results.
     """
-    first = measure_round(env, substream(stream, 0), swap_roles=swap_roles)
-    h_a, h_b = loopback_combine(first, env, substream(stream, 1), swap_roles=swap_roles)
-    sources = {Scheme.NON_LOOPBACK: first, Scheme.LOOPBACK: (h_a, h_b)}
+    first = measure_round(env, swap_roles=swap_roles)
+    h_a, h_b = loopback_combine(first, env, swap_roles=swap_roles)
     if gamma is None:
-        return sources, None
-    if isinstance(gamma, str):
-        if gamma != GAMMA_PER_ROUND:
-            raise ValueError(f"unknown gamma policy {gamma!r}")
         gamma = estimate_round_gamma(h_a, h_b)[..., None]
-    sources[Scheme.LOCKEY] = (apply_compensation(h_a, gamma), h_b)
+    sources = {
+        Scheme.NON_LOOPBACK: first,
+        Scheme.LOOPBACK: (h_a, h_b),
+        Scheme.LOCKEY: (apply_compensation(h_a, gamma), h_b),
+    }
     return sources, gamma

@@ -23,7 +23,6 @@ from lockeysim import analysis, keygen
 from lockeysim.config import build_config
 from lockeysim.harness import emit_csv, preset_config, run_sweep, sweep_cells
 from lockeysim.protocol import (
-    GAMMA_PER_ROUND,
     Environment,
     Scheme,
     estimate_gamma,
@@ -70,7 +69,7 @@ def test_criterion_01_hardware_cancellation_exactness():
         env = Environment(
             config.ofdm, config.profiles, 30, 0, None, (101,), trials=trials,
         )
-        alice, bob = run_round(env, None, (102,))[0][Scheme.LOOPBACK]
+        alice, bob = run_round(env)[0][Scheme.LOOPBACK]
         scale = np.max(np.abs(bob), axis=-1)
         gap = np.max(np.abs(alice - bob), axis=-1)
         rel = max(rel, float(np.max(gap / scale)))
@@ -222,10 +221,10 @@ def test_criterion_08_key_rate_ordering_bit_rate():
 
 @pytest.mark.xfail(
     strict=False,
-    reason="at the bottom of the grid the two baselines' bit rates tie: the "
-    "uncompensated loop-back's shared heavy-tailed magnitude randomness "
-    "offsets the plain exchange's correlation advantage once noise "
-    "dominates, and the sign of the gap flips with the seed",
+    reason="at the bottom of the grid the uncompensated loop-back's bit rate "
+    "is above the plain exchange's: at 100k trials on seeds 0-3 it leads at "
+    "0 dB on 4 of 4 seeds, by 0.0047-0.0096 bits, so the model's expected "
+    "gap has the opposite sign; a pass at 1000 trials is sampling noise",
 )
 def test_criterion_08_baseline_bit_rates_at_lowest_snr():
     """The plain exchange's bit rate beats the uncompensated loop-back's at

@@ -1,8 +1,8 @@
 """Every demo script runs to completion against the current package."""
 
-import os
-import subprocess
+import runpy
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -16,9 +16,11 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_exits_cleanly(demo, tmp_path):
-    # TMPDIR keeps any file a demo writes inside the test's own directory
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+def test_demo_exits_cleanly(demo, tmp_path, monkeypatch, capsys):
+    # in process, as a script: any exception fails the test, and any file a
+    # demo writes stays inside the test's own directory
+    monkeypatch.setattr(sys, "argv", [str(demo)])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    runpy.run_path(str(demo), run_name="__main__")
+    capsys.readouterr()

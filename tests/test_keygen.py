@@ -168,3 +168,17 @@ class TestCsk:
         with pytest.raises(ValueError):
             csk(0.1, np.ones(2, dtype=np.uint8), np.ones(2, dtype=np.uint8), 0)
 
+
+    def test_rejects_mismatched_or_empty_streams(self):
+        with pytest.raises(ValueError, match="length"):
+            csk(0.1, np.ones(2, dtype=np.uint8), np.ones(4, dtype=np.uint8), 1)
+        with pytest.raises(ValueError, match="empty"):
+            csk(0.1, np.ones(0, dtype=np.uint8), np.ones(0, dtype=np.uint8), 1)
+
+    @given(pairs=st.integers(1, 64).flatmap(lambda n: st.tuples(*(st.binary(min_size=n, max_size=n),) * 2)))
+    def test_bit_rate_is_a_function_of_kdr(self, pairs):
+        # two bits per subcarrier use: the agreeing bits per use are 2 * (1 - kdr)
+        a, b = (np.unpackbits(np.frombuffer(bits, dtype=np.uint8)) for bits in pairs)
+        metrics = csk(0.5, a, b, subcarriers_used=a.size // 2)
+        assert metrics.kdr == kdr(a, b)
+        assert metrics.csk_bit_rate == pytest.approx(2.0 * (1.0 - metrics.kdr), rel=1e-12, abs=1e-12)

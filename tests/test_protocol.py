@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from lockeysim._rng import substream
 from lockeysim.config import build_config
-from lockeysim.fading import TapProfile, add_awgn, fingerprint_response, frequency_response
+from lockeysim.fading import TapProfile, add_awgn, fingerprint_response, frequency_response, make_fading_process
 from lockeysim.protocol import (
-    GAMMA_PER_ROUND,
     Environment,
     Scheme,
     apply_compensation,
@@ -36,6 +35,19 @@ def make_env(attacked=0, snr_db=None, n_units=30, stream=(1,), profiles=None, tr
     )
 
 
+def air_response(env, slot, link, freqs):
+    """Response of link `link` (0 ``alice_bob``, 1 ``alice_ris``, 2 ``ris_bob``)
+    in slot `slot`, drawn from the key ``(env.stream, 0, 3*slot + link)``."""
+    name = ("alice_bob", "alice_ris", "ris_bob")[link]
+    fading = make_fading_process(env.profiles[name], substream(env.stream, 0, 3 * slot + link), env.trials)
+    return frequency_response(fading, freqs)
+
+
+def slot_stream(env, slot):
+    """Key of slot `slot`'s surface aggregates; its probes' noise is at children 2 and 3."""
+    return substream(env.stream, 1, slot)
+
+
 def identity_profiles():
     flat = TapProfile((0.0,), (0.0,))
     profiles = dict(CFG.profiles)
@@ -48,13 +60,13 @@ class TestMeasureRound:
     def test_perfect_reciprocity(self):
         # no jamming, identity filters, noiseless: both parties see the same
         env = make_env(profiles=identity_profiles())
-        h_a1, h_b1 = measure_round(env, (2,))
+        h_a1, h_b1 = measure_round(env)
         np.testing.assert_allclose(h_a1, h_b1, rtol=1e-12)
 
     def test_fingerprint_ratio_oracle(self):
         # with equal surface aggregates the estimate ratio is the filter ratio
         env = make_env()
-        h_a1, h_b1 = measure_round(env, (3,))
+        h_a1, h_b1 = measure_round(env)
         freqs = env.ofdm.pilot_freqs
         expected = (
             fingerprint_response(env.profiles["alice_hf"], freqs)
@@ -66,11 +78,10 @@ class TestMeasureRound:
         # identity filters, noiseless, every unit re-randomized: the pair
         # differs exactly by the cascaded response times the aggregate gap
         env = make_env(attacked=30, profiles=identity_profiles())
-        stream = (4,)
-        h_a1, h_b1 = measure_round(env, stream)
+        h_a1, h_b1 = measure_round(env)
         freqs = env.ofdm.pilot_freqs
-        phi_first, phi_second = surface_aggregates(30, env.attacked, stream)
-        cascade = frequency_response(env._link(1), freqs) * frequency_response(env._link(2), freqs)
+        phi_first, phi_second = surface_aggregates(30, env.attacked, slot_stream(env, 0))
+        cascade = air_response(env, 0, 1, freqs) * air_response(env, 0, 2, freqs)
         expected = cascade * (phi_second - phi_first)
         np.testing.assert_allclose(h_a1 - h_b1, expected, rtol=1e-9)
 
@@ -81,15 +92,15 @@ class TestLoopbackCombine:
         flat = TapProfile((0.0,), (0.0,))
         profiles = {k: flat for k in CFG.profiles}
         env = make_env(n_units=1, profiles=profiles)
-        first = measure_round(env, (5,))
-        h_a, h_b = loopback_combine(first, env, (6,))
+        first = measure_round(env)
+        h_a, h_b = loopback_combine(first, env)
         np.testing.assert_allclose(h_a, h_b, rtol=1e-12)
 
     def test_hardware_cancellation_any_fingerprints(self):
         # distinct filters, static channels, no jamming, noiseless:
         # the loop-back pair agrees to machine precision
         env = make_env()
-        alice, bob = run_round(env, None, (7,))[0][Scheme.LOOPBACK]
+        alice, bob = run_round(env)[0][Scheme.LOOPBACK]
         scale = np.max(np.abs(bob))
         diff = np.max(np.abs(alice - bob))
         assert diff / scale < 1e-12
@@ -98,14 +109,13 @@ class TestLoopbackCombine:
         # noiseless general case: the loop-back estimate equals the product
         # of the peer's first-slot estimate and the fresh band-2 response
         env = make_env(attacked=7)
-        stream_t, stream_tau = (8,), (9,)
-        h_a1, h_b1 = measure_round(env, stream_t)
-        h_a, h_b = loopback_combine((h_a1, h_b1), env, stream_tau)
+        h_a1, h_b1 = measure_round(env)
+        h_a, h_b = loopback_combine((h_a1, h_b1), env)
 
         freqs = env.ofdm.pilot_freqs
-        direct = frequency_response(env._link(3), freqs)
-        cascade = frequency_response(env._link(4), freqs) * frequency_response(env._link(5), freqs)
-        phi_first, phi_second = surface_aggregates(30, env.attacked, stream_tau)
+        direct = air_response(env, 1, 0, freqs)
+        cascade = air_response(env, 1, 1, freqs) * air_response(env, 1, 2, freqs)
+        phi_first, phi_second = surface_aggregates(30, env.attacked, slot_stream(env, 1))
         fp_ba = fingerprint_response(env.profiles["bob_hf"], freqs)
         fp_ab = fingerprint_response(env.profiles["alice_hf"], freqs)
         expected_a = fp_ba * (direct + cascade * phi_first) * h_b1
@@ -121,26 +131,24 @@ class TestPilotGrid:
     def test_noiseless_rounds_equal_full_width_products_at_the_pilots(self):
         trials = 6
         env = make_env(attacked=7, trials=trials)
-        stream_t, stream_tau = (23,), (24,)
-        h_a1, h_b1 = measure_round(env, stream_t)
-        h_a, h_b = loopback_combine((h_a1, h_b1), env, stream_tau)
+        h_a1, h_b1 = measure_round(env)
+        h_a, h_b = loopback_combine((h_a1, h_b1), env)
 
         freqs = env.ofdm.subcarrier_freqs
         fp_alice = fingerprint_response(env.profiles["alice_hf"], freqs)
         fp_bob = fingerprint_response(env.profiles["bob_hf"], freqs)
 
-        def slot_channels(first_link, stream):
+        def slot_channels(slot):
             # full-width channel of each probe of a slot: first, then jammed
-            direct = frequency_response(env._link(first_link), freqs)
-            cascade = (frequency_response(env._link(first_link + 1), freqs)
-                       * frequency_response(env._link(first_link + 2), freqs))
-            aggregates = surface_aggregates(env.n_units, env.attacked, stream, trials)
+            direct = air_response(env, slot, 0, freqs)
+            cascade = air_response(env, slot, 1, freqs) * air_response(env, slot, 2, freqs)
+            aggregates = surface_aggregates(env.n_units, env.attacked, slot_stream(env, slot), trials)
             return tuple(direct + cascade * phi[:, None] for phi in aggregates)
 
         # slot 1: Alice probes first; slot 2: Bob loops back first
-        air_1, air_2 = slot_channels(0, stream_t)
+        air_1, air_2 = slot_channels(0)
         full_b1, full_a1 = fp_alice * air_1, fp_bob * air_2
-        air_1, air_2 = slot_channels(3, stream_tau)
+        air_1, air_2 = slot_channels(1)
         full_a, full_b = fp_bob * air_1 * full_b1, fp_alice * air_2 * full_a1
 
         positions = env.ofdm.pilot_positions
@@ -151,8 +159,7 @@ class TestPilotGrid:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_key_sources_hold_one_column_per_pilot(self, scheme):
         env = make_env(attacked=5, snr_db=10.0, trials=9)
-        gamma = GAMMA_PER_ROUND if scheme is Scheme.LOCKEY else None
-        alice, bob = run_round(env, gamma, (25,))[0][scheme]
+        alice, bob = run_round(env)[0][scheme]
         shape = (9, CFG.ofdm.pilot_positions.size)
         assert alice.shape == bob.shape == shape
 
@@ -162,8 +169,8 @@ class TestPilotGrid:
         # both see noise of exactly that variance
         snr_db = 10.0
         env = Environment(CFG.ofdm, CFG.profiles, 30, 5, snr_db, (26,), noise_ref=None, trials=4000)
-        noisy = measure_round(env, (27,))
-        clean = measure_round(replace(env, snr_db=None), (27,))
+        noisy = measure_round(env)
+        clean = measure_round(replace(env, snr_db=None))
         for got, want in zip(noisy, clean):
             # an estimate is the received probe, so its power is the received power
             expected_var = np.mean(np.abs(want) ** 2, axis=-1) * 10.0 ** (-snr_db / 10.0)
@@ -176,8 +183,8 @@ class TestPilotGrid:
 class TestProbeNoise:
     """With the unit reference, an estimate is its noiseless value plus the
     probe's own `add_awgn` draw: unrotated, of variance ``10**(-snr/10)``,
-    from the stream of its probe (index 2 for the first probe of a slot,
-    3 for the second)."""
+    from the stream of its probe: child 2 of the slot's key for the first
+    probe of a slot, child 3 for the second."""
 
     SNR_DB = 10.0
 
@@ -188,9 +195,9 @@ class TestProbeNoise:
     @pytest.mark.parametrize("trials", [None, 2000])
     def test_first_slot_noise_is_each_probes_own_draw(self, trials):
         env = make_env(attacked=5, snr_db=self.SNR_DB, trials=trials)
-        stream = (28,)
-        noisy = measure_round(env, stream)
-        clean = measure_round(replace(env, snr_db=None), stream)
+        stream = slot_stream(env, 0)
+        noisy = measure_round(env)
+        clean = measure_round(replace(env, snr_db=None))
         # Alice probes first, so Bob's estimate carries the first probe's noise
         for got, want, index in zip(noisy, clean, (3, 2)):
             draw = self.unit_noise(want.shape, self.SNR_DB, stream, index)
@@ -200,10 +207,10 @@ class TestProbeNoise:
 
     def test_second_slot_noise_is_each_probes_own_draw(self):
         env = make_env(attacked=5, snr_db=self.SNR_DB, trials=50)
-        first = measure_round(replace(env, snr_db=None), (29,))
-        stream = (30,)
-        noisy = loopback_combine(first, env, stream)
-        clean = loopback_combine(first, replace(env, snr_db=None), stream)
+        first = measure_round(replace(env, snr_db=None))
+        stream = slot_stream(env, 1)
+        noisy = loopback_combine(first, env)
+        clean = loopback_combine(first, replace(env, snr_db=None))
         # Bob loops back first, so Alice's estimate carries the first probe's noise
         for got, want, index in zip(noisy, clean, (2, 3)):
             draw = self.unit_noise(want.shape, self.SNR_DB, stream, index)
@@ -282,7 +289,7 @@ class TestApplyCompensation:
 class TestRunRound:
     def test_non_loopback_perfect_conditions(self):
         env = make_env(profiles=identity_profiles())
-        alice, bob = run_round(env, None, (11,))[0][Scheme.NON_LOOPBACK]
+        alice, bob = run_round(env)[0][Scheme.NON_LOOPBACK]
         np.testing.assert_allclose(alice, bob, rtol=1e-12)
 
     @pytest.mark.parametrize("trials", [None, 7])
@@ -290,29 +297,31 @@ class TestRunRound:
         # the plain pair is the first slot and the loop-back pair is the
         # second slot of the same round, element for element
         env = make_env(attacked=5, snr_db=10.0, trials=trials)
-        stream = (12,)
-        sources, _ = run_round(env, GAMMA_PER_ROUND, stream)
-        first = measure_round(env, substream(stream, 0))
-        product = loopback_combine(first, env, substream(stream, 1))
+        sources, _ = run_round(env)
+        first = measure_round(env)
+        product = loopback_combine(first, env)
         for got, want in zip((sources[Scheme.NON_LOOPBACK], sources[Scheme.LOOPBACK]), (first, product)):
             for got_side, want_side in zip(got, want):
                 np.testing.assert_array_equal(got_side, want_side)
         np.testing.assert_array_equal(sources[Scheme.LOCKEY][1], product[1])
 
-    def test_no_compensated_entry_without_gamma(self):
-        sources, gamma = run_round(make_env(), None, (12,))
-        assert set(sources) == {Scheme.NON_LOOPBACK, Scheme.LOOPBACK}
-        assert gamma is None
+    def test_every_draw_has_its_own_key(self, monkeypatch):
+        # the two slots share no link, surface or noise draw, and every key
+        # lies below the environment's stream
+        from lockeysim import _rng, fading, ris
 
-    def test_lockey_rejects_unknown_policy(self):
-        env = make_env()
-        with pytest.raises(ValueError, match="policy"):
-            run_round(env, "sometimes", (12,))
+        built = []
+        for module in (fading, ris):
+            monkeypatch.setattr(module, "as_rng", lambda stream: built.append(stream) or _rng.as_rng(stream))
+        env = make_env(attacked=5, snr_db=10.0, stream=(31, 4))
+        run_round(env)
+        assert len(built) == len(set(built)) == 6 + 2 * (2 + 2)
+        assert all(key[:2] == env.stream for key in built)
 
     def test_determinism(self):
         env = make_env(attacked=5, snr_db=10.0)
-        s1, g1 = run_round(env, GAMMA_PER_ROUND, (13,))
-        s2, g2 = run_round(env, GAMMA_PER_ROUND, (13,))
+        s1, g1 = run_round(env)
+        s2, g2 = run_round(env)
         for scheme in Scheme:
             np.testing.assert_array_equal(s1[scheme][0], s2[scheme][0])
             np.testing.assert_array_equal(s1[scheme][1], s2[scheme][1])
@@ -326,10 +335,7 @@ class TestRunRound:
         cfg = CFG
         locked, plain = [], []
         for i in range(n):
-            env = Environment(
-                cfg.ofdm, cfg.profiles, 30, 10, 15.0, (14, i)
-            )
-            sources, _ = run_round(env, GAMMA_PER_ROUND, (15, i))
+            sources, _ = run_round(Environment(cfg.ofdm, cfg.profiles, 30, 10, 15.0, (14, i)))
             plain.append(sources[Scheme.LOOPBACK])
             locked.append(sources[Scheme.LOCKEY])
         rho_plain = abs(correlation(
@@ -344,7 +350,7 @@ class TestRunRound:
         # them per row
         trials = CFG.ofdm.pilot_positions.size
         env = make_env(attacked=5, snr_db=20.0, trials=trials)
-        sources, gamma_used = run_round(env, GAMMA_PER_ROUND, (22,))
+        sources, gamma_used = run_round(env)
         plain, locked = sources[Scheme.LOOPBACK], sources[Scheme.LOCKEY]
         for row in (0, trials - 1):
             gamma = estimate_round_gamma(plain[0][row], plain[1][row])
@@ -352,12 +358,17 @@ class TestRunRound:
             np.testing.assert_allclose(locked[0][row], gamma * plain[0][row], rtol=1e-12)
 
     def test_gamma_used_recorded_for_lockey_only(self):
+        # the recorded gamma is the one the compensated side was scaled by:
+        # a given value as it is, the per-round fit otherwise
         env = make_env(attacked=5, snr_db=20.0)
-        assert run_round(env, None, (16,))[1] is None
-        sources, gamma_used = run_round(env, GAMMA_PER_ROUND, (16,))
-        assert gamma_used is not None
+        given = np.linspace(0.5, 1.5, CFG.ofdm.pilot_positions.size)
+        sources, gamma_used = run_round(env, given)
+        assert gamma_used is given
+        np.testing.assert_array_equal(sources[Scheme.LOCKEY][0], given * sources[Scheme.LOOPBACK][0])
+        sources, gamma_used = run_round(env)
         alice = sources[Scheme.LOCKEY][0]
         assert np.broadcast_shapes(gamma_used.shape, alice.shape) == alice.shape
+        np.testing.assert_array_equal(alice, gamma_used * sources[Scheme.LOOPBACK][0])
 
 
 class TestLoopbackConvergence:
@@ -370,10 +381,7 @@ class TestLoopbackConvergence:
         profiles["bob_hf"] = profiles["alice_hf"]  # equal direction filters
         xs, ys = [], []
         for i in range(150):
-            env = Environment(
-                CFG.ofdm, profiles, 30, 0, 40.0, (20, i),
-            )
-            alice, bob = run_round(env, None, (21, i))[0][Scheme.LOOPBACK]
+            alice, bob = run_round(Environment(CFG.ofdm, profiles, 30, 0, 40.0, (20, i)))[0][Scheme.LOOPBACK]
             xs.append(alice)
             ys.append(bob)
         rho = abs(correlation(np.concatenate(xs), np.concatenate(ys)))
@@ -389,22 +397,22 @@ def swapped_environment(env):
 class TestLabelSwapSymmetry:
     def test_measure_round_swaps_exactly(self):
         env = make_env(attacked=5, snr_db=10.0)
-        h_a1, h_b1 = measure_round(env, (17,))
-        s_a1, s_b1 = measure_round(swapped_environment(env), (17,), swap_roles=True)
+        h_a1, h_b1 = measure_round(env)
+        s_a1, s_b1 = measure_round(swapped_environment(env), swap_roles=True)
         np.testing.assert_array_equal(s_a1, h_b1)
         np.testing.assert_array_equal(s_b1, h_a1)
 
     def test_full_round_swaps_exactly(self):
         env = make_env(attacked=5, snr_db=10.0)
-        normal = run_round(env, None, (18,))[0][Scheme.LOOPBACK]
-        swapped = run_round(swapped_environment(env), None, (18,), swap_roles=True)[0][Scheme.LOOPBACK]
+        normal = run_round(env)[0][Scheme.LOOPBACK]
+        swapped = run_round(swapped_environment(env), swap_roles=True)[0][Scheme.LOOPBACK]
         np.testing.assert_array_equal(swapped[0], normal[1])
         np.testing.assert_array_equal(swapped[1], normal[0])
 
     def test_batched_round_swaps_exactly(self):
         env = make_env(attacked=5, snr_db=10.0, trials=16)
-        normal_sources, _ = run_round(env, None, (20,))
-        swapped_sources, _ = run_round(swapped_environment(env), None, (20,), swap_roles=True)
+        normal_sources, _ = run_round(env)
+        swapped_sources, _ = run_round(swapped_environment(env), swap_roles=True)
         for scheme in (Scheme.NON_LOOPBACK, Scheme.LOOPBACK):
             normal, swapped = normal_sources[scheme], swapped_sources[scheme]
             assert normal[0].shape == (16, env.ofdm.pilot_positions.size)
@@ -413,10 +421,8 @@ class TestLabelSwapSymmetry:
 
     def test_lockey_swap_compensates_the_swapped_side(self):
         env = make_env(attacked=5, snr_db=10.0)
-        normal_alice, normal_bob = run_round(env, None, (19,))[0][Scheme.LOOPBACK]
-        swapped_alice, swapped_bob = run_round(
-            swapped_environment(env), GAMMA_PER_ROUND, (19,), swap_roles=True
-        )[0][Scheme.LOCKEY]
+        normal_alice, normal_bob = run_round(env)[0][Scheme.LOOPBACK]
+        swapped_alice, swapped_bob = run_round(swapped_environment(env), swap_roles=True)[0][Scheme.LOCKEY]
         # the swapped run predicts the original alice-side estimate from the
         # original bob-side estimate
         gamma = estimate_round_gamma(normal_bob, normal_alice)
@@ -444,7 +450,7 @@ class TestProtocolProperties:
     def test_loopback_cancels_any_filter_pair(self, alice_hf, bob_hf, n_units, key, trials):
         profiles = dict(CFG.profiles, alice_hf=alice_hf, bob_hf=bob_hf)
         env = make_env(n_units=n_units, stream=(key,), profiles=profiles, trials=trials)
-        alice, bob = run_round(env, None, (key, 1))[0][Scheme.LOOPBACK]
+        alice, bob = run_round(env)[0][Scheme.LOOPBACK]
         gap = np.max(np.abs(alice - bob), axis=-1)
         assert np.all(gap / np.max(np.abs(bob), axis=-1) < 1e-12)
 
@@ -458,9 +464,8 @@ class TestProtocolProperties:
         # compensation always predicts the Alice-labelled side, so the
         # swapped lockey run is compared with the loop-back pair it compensates
         baseline = Scheme.LOOPBACK if scheme is Scheme.LOCKEY else scheme
-        bob, alice = run_round(env, None, (key, 1))[0][baseline]
-        gamma = GAMMA_PER_ROUND if scheme is Scheme.LOCKEY else None
-        swapped = run_round(swapped_environment(env), gamma, (key, 1), swap_roles=True)[0][scheme]
+        bob, alice = run_round(env)[0][baseline]
+        swapped = run_round(swapped_environment(env), swap_roles=True)[0][scheme]
         if scheme is Scheme.LOCKEY:
             alice = apply_compensation(alice, estimate_round_gamma(alice, bob)[..., None])
         np.testing.assert_array_equal(swapped[0], alice)

@@ -37,9 +37,7 @@ from .ofdm import OfdmConfig
 from .protocol import (
     Environment,
     Scheme,
-    apply_compensation,
     estimate_gamma,
-    estimate_round_gamma,
     loopback_combine,
     measure_round,
     run_round,

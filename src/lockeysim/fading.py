@@ -124,8 +124,6 @@ def make_fading_process(profile: TapProfile, stream: Stream, trials: Optional[in
     stream.  Deterministic for a fixed stream id; an invalid profile is
     rejected by TapProfile itself.
     """
-    if not isinstance(profile, TapProfile):
-        profile = TapProfile(*profile)
     draw = as_rng(stream).standard_normal(batch_shape(trials, profile.n_taps, 2))
     # (re, im) pairs viewed as complex, scaled in place to the tap powers
     gains = draw.view(complex)[..., 0]

@@ -79,6 +79,8 @@ class Environment:
     `stream` when a slot reads it (see the module docstring for the keys).
     The two slots get independent realizations of the same profiles; the
     band carrier frequencies only label which realization a probe uses.
+    An invalid surface range is rejected by `ris.surface_aggregates` when
+    the first slot is drawn.
     """
 
     ofdm: OfdmConfig
@@ -89,12 +91,6 @@ class Environment:
     stream: Stream
     noise_ref: Optional[float] = 1.0
     trials: Optional[int] = None
-
-    def __post_init__(self):
-        if self.n_units < 1:
-            raise ValueError("n_units must be >= 1")
-        if not 0 <= self.attacked <= self.n_units:
-            raise ValueError(f"attacked must lie in [0, n_units={self.n_units}], got {self.attacked}")
 
 
 def _exchange(env: Environment, slot: int, probes):
@@ -189,39 +185,6 @@ def estimate_gamma(history_a, history_b, min_rounds: int = 200) -> np.ndarray:
     return _cross_sum(h_b, h_a) / denom
 
 
-def estimate_round_gamma(h_a, h_b):
-    """Single prediction scalar fitted across one round's subcarriers.
-
-    The surface aggregate is common to all subcarriers, so the mismatch an
-    attacker injects into one round is mostly a common complex factor; a
-    scalar least-squares fit across the round's pilot subcarriers absorbs
-    it without any training history.  Rows of a batch (subcarriers along
-    the last axis) get one scalar each.
-    """
-    h_a = np.asarray(h_a, dtype=complex)
-    h_b = np.asarray(h_b, dtype=complex)
-    if h_a.shape != h_b.shape:
-        raise ValueError("round sides differ in shape")
-    denom = np.sum(np.abs(h_a) ** 2, axis=-1)
-    if np.any(denom == 0.0):
-        raise DegenerateSampleError("degenerate round: all-zero reference values")
-    return np.sum(h_b * np.conj(h_a), axis=-1) / denom
-
-
-def apply_compensation(h_a, gamma) -> np.ndarray:
-    """Predicted peer estimate: elementwise ``gamma * h_a``.
-
-    `gamma` must broadcast to the shape of `h_a`: a scalar, a
-    per-subcarrier vector, or one scalar per round as a ``(trials, 1)``
-    column.
-    """
-    h_a = np.asarray(h_a, dtype=complex)
-    gamma = np.asarray(gamma, dtype=complex)
-    if np.broadcast(gamma, h_a).shape != h_a.shape:
-        raise ValueError(f"gamma shape {gamma.shape} does not match estimate shape {h_a.shape}")
-    return gamma * h_a
-
-
 def run_round(env: Environment, gamma=None, swap_roles: bool = False):
     """Execute one two-slot probing round and read every scheme's key sources
     from it.
@@ -230,21 +193,33 @@ def run_round(env: Environment, gamma=None, swap_roles: bool = False):
     its ``(alice, bob)`` pair: the first-slot estimates for the plain
     exchange, the loop-back products for the loop-back scheme, and for the
     compensated scheme Alice's product times gamma with Bob's product.
-    `gamma` is a pre-trained per-subcarrier array or a scalar; None fits
-    one scalar from each round's own pilot subcarriers (a ``(trials, 1)``
-    column for a batched environment).  `gamma_applied` is the value the
-    compensation multiplied by.  Key sources hold one entry per pilot
-    subcarrier: shape ``(pilot_positions.size,)``, or
-    ``(trials, pilot_positions.size)`` for a batched environment.
-    Deterministic: an identical environment produces bit-identical results.
+    Key sources hold one entry per pilot subcarrier: shape
+    ``(pilot_positions.size,)``, or ``(trials, pilot_positions.size)`` for a
+    batched environment.
+
+    With ``gamma=None`` each round fits one prediction scalar pooled over
+    its pilot subcarriers, ``sum H_B * conj(H_A) / sum |H_A|^2``: the surface
+    aggregate is common to all subcarriers, so the mismatch an attacker
+    injects into a round is mostly one complex factor, absorbed without any
+    training history.  A batched round gets a ``(trials, 1)`` column; an
+    all-zero loop-back side raises `DegenerateSampleError`.  A given `gamma`
+    (a scalar or a per-subcarrier array) must broadcast to the estimates'
+    shape, else ValueError.  `gamma_applied` is the value that scaled
+    Alice's side: the fit, or the given object itself.  Deterministic: an
+    identical environment produces bit-identical results.
     """
     first = measure_round(env, swap_roles=swap_roles)
     h_a, h_b = loopback_combine(first, env, swap_roles=swap_roles)
     if gamma is None:
-        gamma = estimate_round_gamma(h_a, h_b)[..., None]
+        power = np.sum(np.abs(h_a) ** 2, axis=-1, keepdims=True)
+        if np.any(power == 0.0):
+            raise DegenerateSampleError("degenerate round: all-zero reference values")
+        gamma = np.sum(h_b * np.conj(h_a), axis=-1, keepdims=True) / power
+    elif np.broadcast_shapes(np.shape(gamma), h_a.shape) != h_a.shape:
+        raise ValueError(f"gamma shape {np.shape(gamma)} does not match estimate shape {h_a.shape}")
     sources = {
         Scheme.NON_LOOPBACK: first,
         Scheme.LOOPBACK: (h_a, h_b),
-        Scheme.LOCKEY: (apply_compensation(h_a, gamma), h_b),
+        Scheme.LOCKEY: (np.asarray(gamma, dtype=complex) * h_a, h_b),
     }
     return sources, gamma

@@ -333,17 +333,23 @@ class TestMetricsColumns:
         assert row.flag.startswith("error: degenerate")
         assert math.isnan(row.rho_empirical)
 
-    def test_degenerate_shared_round_flags_every_row(self, monkeypatch):
-        from lockeysim import protocol
+    @pytest.mark.parametrize("mode, seam, message", [
+        ("round", "run_round", "degenerate round: all-zero reference values"),
+        ("window", "estimate_gamma", "degenerate history: a subcarrier has all-zero reference values"),
+    ], ids=["round", "window"])
+    def test_degenerate_shared_round_flags_every_row(self, monkeypatch, mode, seam, message):
+        # the shared round raises in its gamma fit: per round inside
+        # run_round, or in the window mode's training fit
+        from lockeysim import harness
         from lockeysim.analysis import DegenerateSampleError
 
-        def degenerate(h_a, h_b):
-            raise DegenerateSampleError("degenerate round: all-zero reference values")
+        def degenerate(*args, **kwargs):
+            raise DegenerateSampleError(message)
 
-        monkeypatch.setattr(protocol, "estimate_round_gamma", degenerate)
-        rows = run_cell(tiny_config(), 10.0, 30, 5)
+        monkeypatch.setattr(harness, seam, degenerate)
+        rows = run_cell(tiny_config(**{"protocol.gamma_mode": mode}), 10.0, 30, 5)
         assert [row.scheme for row in rows] == [scheme.value for scheme in Scheme]
-        assert all(row.flag == "error: degenerate round: all-zero reference values" for row in rows)
+        assert all(row.flag == f"error: {message}" for row in rows)
 
     def test_degenerate_scheme_metrics_flag_that_row_only(self, monkeypatch):
         from lockeysim import harness

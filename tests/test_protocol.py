@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +12,7 @@ from lockeysim.fading import TapProfile, add_awgn, fingerprint_response, frequen
 from lockeysim.protocol import (
     Environment,
     Scheme,
-    apply_compensation,
     estimate_gamma,
-    estimate_round_gamma,
     loopback_combine,
     measure_round,
     run_round,
@@ -46,6 +45,11 @@ def air_response(env, slot, link, freqs):
 def slot_stream(env, slot):
     """Key of slot `slot`'s surface aggregates; its probes' noise is at children 2 and 3."""
     return substream(env.stream, 1, slot)
+
+
+def pooled_gamma(h_a, h_b):
+    """Least-squares scalar predicting `h_b` from `h_a` over the last axis, one per row."""
+    return np.sum(h_b * np.conj(h_a), axis=-1) / np.sum(np.abs(h_a) ** 2, axis=-1)
 
 
 def identity_profiles():
@@ -84,6 +88,16 @@ class TestMeasureRound:
         cascade = air_response(env, 0, 1, freqs) * air_response(env, 0, 2, freqs)
         expected = cascade * (phi_second - phi_first)
         np.testing.assert_allclose(h_a1 - h_b1, expected, rtol=1e-9)
+
+    @pytest.mark.parametrize("n_units, attacked, message", [
+        (30, 31, "attacked must lie in"),
+        (30, -1, "attacked must lie in"),
+        (0, 0, "n_units must be >= 1"),
+    ])
+    def test_invalid_surface_raises_before_any_estimate(self, n_units, attacked, message):
+        # the surface's own range check runs on the first slot's draw
+        with pytest.raises(ValueError, match=message):
+            measure_round(make_env(attacked=attacked, n_units=n_units))
 
 
 class TestLoopbackCombine:
@@ -259,31 +273,44 @@ class TestGamma:
         assert np.max(np.abs(cross)) / np.sum(np.abs(h_a) ** 2) < 1e-12
 
     def test_round_gamma_matches_pooled_fit(self):
-        rng = np.random.default_rng(3)
-        h_a = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-        h_b = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-        expected = np.sum(h_b * np.conj(h_a)) / np.sum(np.abs(h_a) ** 2)
-        assert estimate_round_gamma(h_a, h_b) == pytest.approx(expected)
+        # without a given gamma, run_round fits one scalar across the
+        # round's pilot subcarriers
+        sources, gamma_used = run_round(make_env(attacked=5, snr_db=10.0))
+        h_a, h_b = sources[Scheme.LOOPBACK]
+        assert gamma_used.shape == (1,)
+        assert gamma_used[0] == pytest.approx(pooled_gamma(h_a, h_b))
 
 
 class TestApplyCompensation:
+    """A given gamma scales Alice's loop-back estimate in `run_round`."""
+
+    @staticmethod
+    def compensate(gamma):
+        sources, _ = run_round(make_env(attacked=5, snr_db=10.0), gamma)
+        return sources[Scheme.LOCKEY][0], sources[Scheme.LOOPBACK][0]
+
     def test_identity(self):
-        h = np.arange(4, dtype=complex)
-        np.testing.assert_array_equal(apply_compensation(h, 1.0), h)
+        locked, plain = self.compensate(1.0)
+        np.testing.assert_array_equal(locked, plain)
 
     def test_zero(self):
-        h = np.arange(4, dtype=complex)
-        np.testing.assert_array_equal(apply_compensation(h, 0.0), np.zeros(4))
+        locked, plain = self.compensate(0.0)
+        np.testing.assert_array_equal(locked, np.zeros(plain.shape))
 
     def test_elementwise_oracle(self):
         rng = np.random.default_rng(4)
-        h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        gamma = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        np.testing.assert_allclose(apply_compensation(h, gamma), gamma * h)
+        n = CFG.ofdm.pilot_positions.size
+        gamma = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        locked, plain = self.compensate(gamma)
+        np.testing.assert_allclose(locked, gamma * plain)
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_compensation(np.ones(4, dtype=complex), np.ones(3, dtype=complex))
+        # a gamma that does not broadcast to the estimate shape, or that
+        # would widen it, is rejected with both shapes named
+        n = CFG.ofdm.pilot_positions.size
+        for shape in ((3,), (2, n)):
+            with pytest.raises(ValueError, match=rf"{re.escape(str(shape))}.*\({n},\)"):
+                self.compensate(np.ones(shape, dtype=complex))
 
 
 class TestRunRound:
@@ -353,7 +380,7 @@ class TestRunRound:
         sources, gamma_used = run_round(env)
         plain, locked = sources[Scheme.LOOPBACK], sources[Scheme.LOCKEY]
         for row in (0, trials - 1):
-            gamma = estimate_round_gamma(plain[0][row], plain[1][row])
+            gamma = pooled_gamma(plain[0][row], plain[1][row])
             np.testing.assert_allclose(gamma_used[row], gamma, rtol=1e-12)
             np.testing.assert_allclose(locked[0][row], gamma * plain[0][row], rtol=1e-12)
 
@@ -425,7 +452,7 @@ class TestLabelSwapSymmetry:
         swapped_alice, swapped_bob = run_round(swapped_environment(env), swap_roles=True)[0][Scheme.LOCKEY]
         # the swapped run predicts the original alice-side estimate from the
         # original bob-side estimate
-        gamma = estimate_round_gamma(normal_bob, normal_alice)
+        gamma = pooled_gamma(normal_bob, normal_alice)
         np.testing.assert_allclose(swapped_alice, gamma * normal_bob, rtol=1e-10)
         np.testing.assert_array_equal(swapped_bob, normal_alice)
 
@@ -467,6 +494,19 @@ class TestProtocolProperties:
         bob, alice = run_round(env)[0][baseline]
         swapped = run_round(swapped_environment(env), swap_roles=True)[0][scheme]
         if scheme is Scheme.LOCKEY:
-            alice = apply_compensation(alice, estimate_round_gamma(alice, bob)[..., None])
+            alice = pooled_gamma(alice, bob)[..., None] * alice
         np.testing.assert_array_equal(swapped[0], alice)
         np.testing.assert_array_equal(swapped[1], bob)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), n_units=st.integers(1, 40),
+           snr_db=st.one_of(st.none(), st.floats(-10.0, 40.0)), key=STREAM_KEYS, trials=TRIALS)
+    def test_round_gamma_satisfies_the_normal_equations(self, data, n_units, snr_db, key, trials):
+        # the per-round scalar leaves the compensated residual orthogonal to
+        # Alice's loop-back estimate, summed over the round's subcarriers
+        attacked = data.draw(st.integers(0, n_units), label="attacked")
+        sources, gamma = run_round(make_env(attacked, snr_db, n_units, stream=(key,), trials=trials))
+        h_a, h_b = sources[Scheme.LOOPBACK]
+        cross = np.sum((sources[Scheme.LOCKEY][0] - h_b) * np.conj(h_a), axis=-1)
+        power = np.sum(np.abs(h_a) ** 2, axis=-1)
+        assert np.all(np.abs(cross) <= 1e-12 * np.abs(gamma[..., 0]) * power)

@@ -23,7 +23,7 @@ config = OfdmConfig()
 freqs = config.subcarrier_freqs
 
 print("== per-tap power of an ensemble of channel draws ==")
-gains = make_fading_process(ALICE_RIS_PROFILE, (1,), trials=20_000).gains
+gains = make_fading_process(ALICE_RIS_PROFILE, (1,), trials=20_000)
 powers = np.mean(np.abs(gains) ** 2, axis=0)
 for delay, want, got in zip(ALICE_RIS_PROFILE.delays_ms, ALICE_RIS_PROFILE.powers_db, 10 * np.log10(powers)):
     print(f"  tap at {delay * 1e3:6.3f} us: configured {want:6.2f} dB, measured {got:6.2f} dB")
@@ -37,5 +37,5 @@ for name, profile in (("alice", ALICE_HF_PROFILE), ("bob", BOB_HF_PROFILE)):
           f"phase drift across band {np.angle(response[-1]) - np.angle(response[0]):+.3f} rad")
 
 print("\n== frequency selectivity of the direct channel ==")
-h = frequency_response(make_fading_process(ALICE_BOB_PROFILE, (3,)), freqs)
+h = frequency_response(ALICE_BOB_PROFILE, make_fading_process(ALICE_BOB_PROFILE, (3,)), freqs)
 print(f"  |H| varies over [{np.min(np.abs(h)):.3f}, {np.max(np.abs(h)):.3f}] across 64 subcarriers")

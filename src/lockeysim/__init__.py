@@ -24,7 +24,6 @@ from .analysis import (
 from .config import ConfigError, ExperimentConfig, build_config, load_config
 from .fading import (
     DEFAULT_PROFILES,
-    FadingProcess,
     TapProfile,
     add_awgn,
     fingerprint_response,
@@ -32,7 +31,7 @@ from .fading import (
     make_fading_process,
 )
 from .harness import ResultRow, emit_csv, preset_config, run_cell, run_sweep
-from .keygen import KeyMetrics, compute_thresholds, csk, kdr, quantize_gray2
+from .keygen import KeyMetrics, compute_thresholds, csk, quantize_gray2
 from .ofdm import OfdmConfig
 from .protocol import (
     Environment,

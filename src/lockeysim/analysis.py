@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ._rng import Stream, as_rng, substream
-from .ris import _phasors
+from .ris import _unit_phasors
 
 #: Noise variance assumed by every closed form.
 NOISE_VAR = 1.0
@@ -253,12 +253,6 @@ def _complex_normal(rng, var: float, m: int, out=None) -> np.ndarray:
     z = rng.standard_normal(2 * m, out=None if out is None else out.view(np.float64))
     z *= math.sqrt(var / 2.0)
     return z.view(complex)
-
-
-def _unit_phasors(rng, m: int) -> np.ndarray:
-    """`m` unit phasors of uniform phase: one ``uniform(0, 2*pi, m)`` draw,
-    turned into phasors by the surface's half-angle helper `ris._phasors`."""
-    return _phasors(rng.uniform(0.0, 2.0 * np.pi, m))
 
 
 def _filter_coupling(stats: ModelStats) -> float:

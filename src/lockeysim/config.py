@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .fading import DEFAULT_PROFILES, TapProfile
+from .fading import DEFAULT_PROFILES, TapProfile, _us
 from .ofdm import OfdmConfig
 from .protocol import Scheme
 
@@ -178,17 +178,17 @@ def _require_list(raw, key):
     return list(raw)
 
 
-def _profile_for(link, values, defaults=DEFAULT_PROFILES):
+def _profile_for(link, values):
     delays_us = values[f"channel.{link}.delays_us"]
     powers = values[f"channel.{link}.powers_db"]
     if delays_us is None and powers is None:
-        return defaults[link]
+        return DEFAULT_PROFILES[link]
     if delays_us is None or powers is None:
         raise ConfigError(
             f"channel.{link}: a custom profile needs both delays_us and powers_db"
         )
     try:
-        return TapProfile(tuple(d * 1e-3 for d in delays_us), tuple(powers))
+        return TapProfile(_us(delays_us), tuple(powers))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"channel.{link}: {exc}") from exc
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -104,31 +104,17 @@ DEFAULT_PROFILES = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class FadingProcess:
-    """One multipath channel realization, or one per trial.
-
-    `gains` holds the complex tap gains, ``([trials,] n_taps)``: each is
-    circular complex Gaussian with mean power equal to the profile's linear
-    power, independent across taps and trials.
-    """
-
-    profile: TapProfile
-    gains: np.ndarray = field(repr=False)
-
-
-def make_fading_process(profile: TapProfile, stream: Stream, trials: Optional[int] = None) -> FadingProcess:
-    """Draw a fading realization for `profile`.
-
-    With `trials`, draws that many independent realizations from the one
-    stream.  Deterministic for a fixed stream id; an invalid profile is
-    rejected by TapProfile itself.
+def make_fading_process(profile: TapProfile, stream: Stream, trials: Optional[int] = None) -> np.ndarray:
+    """Draw ``([trials,] n_taps)`` tap gains for `profile`: circular complex
+    Gaussian with the profile's linear tap powers, independent across taps
+    and trials (`trials` realizations from the one stream).  Deterministic
+    for a fixed stream id; an invalid profile is rejected by TapProfile itself.
     """
     draw = as_rng(stream).standard_normal(batch_shape(trials, profile.n_taps, 2))
     # (re, im) pairs viewed as complex, scaled in place to the tap powers
     gains = draw.view(complex)[..., 0]
     gains *= np.sqrt(profile.linear_powers / 2.0)
-    return FadingProcess(profile, gains)
+    return gains
 
 
 def _finite_freqs(subcarrier_freqs) -> tuple:
@@ -150,12 +136,13 @@ def _steering(profile: TapProfile, freqs: tuple) -> np.ndarray:
     return steering
 
 
-def frequency_response(process: FadingProcess, subcarrier_freqs) -> np.ndarray:
-    """Per-subcarrier response ``([trials,] n_freqs)`` of the tapped-delay line.
+def frequency_response(profile: TapProfile, gains, subcarrier_freqs) -> np.ndarray:
+    """Per-subcarrier response ``([trials,] n_freqs)`` of the tapped-delay line
+    with `profile`'s delays and the ``([trials,] n_taps)`` tap `gains`.
 
     The response at frequency f is ``sum_l gain_l * exp(-2j*pi*f*delay_l)``.
     """
-    return process.gains @ _steering(process.profile, _finite_freqs(subcarrier_freqs))
+    return gains @ _steering(profile, _finite_freqs(subcarrier_freqs))
 
 
 def fingerprint_response(profile: TapProfile, subcarrier_freqs) -> np.ndarray:
@@ -175,9 +162,9 @@ def add_awgn(signal, snr_db: Optional[float], stream: Stream, ref_power: Optiona
     ----------
     signal : complex array, one symbol per row along the last axis
     snr_db : float or None
-        SNR in dB.  ``None`` (or ``+inf``) is the explicit noiseless flag and
+        Finite SNR in dB.  ``None`` is the explicit noiseless flag and
         returns the signal unchanged, so exactness tests need no large-SNR
-        approximation.
+        approximation; an infinite or NaN value is rejected.
     stream : stream id
     ref_power : float, optional
         Power the SNR refers to.  ``None`` measures the mean power of each
@@ -186,7 +173,7 @@ def add_awgn(signal, snr_db: Optional[float], stream: Stream, ref_power: Optiona
         where 0 dB means noise variance exactly 1.
     """
     signal = np.asarray(signal, dtype=complex)
-    if snr_db is None or snr_db == math.inf:
+    if snr_db is None:
         return signal.copy()
     if not math.isfinite(snr_db):
         raise ValueError("snr_db must be finite or the noiseless flag")

@@ -161,7 +161,7 @@ def _scheme_row(config, scheme, snr_db, n_units, attacked, alice, bob, gamma, st
 
     bits_a = _quantize_block(alice)
     bits_b = _quantize_block(bob)
-    metrics = keygen.csk(rho, bits_a, bits_b, subcarriers_used=alice_flat.size)
+    metrics = keygen.csk(rho, bits_a, bits_b)
 
     if scheme is Scheme.NON_LOOPBACK:
         rho_analytic = analysis.rho1_analytic(stats)
@@ -202,21 +202,21 @@ def sweep_cells(config: ExperimentConfig):
     return [(snr, n, k) for n in config.n_units_grid for k in config.attacked_grid for snr in config.snr_grid_db]
 
 
-def run_sweep(config: ExperimentConfig, jobs: Optional[int] = None) -> list:
+def run_sweep(config: ExperimentConfig) -> list:
     """Run every point of the configured sweep and return its rows in
     (scheme, n_units, attacked, snr) order.
 
-    The worker count affects scheduling only: per-point seed derivation makes
-    the result rows identical for any `jobs` value.
+    `config.jobs` worker processes run the points.  The worker count affects
+    scheduling only: per-point seed derivation makes the result rows
+    identical for any worker count.
     """
-    jobs = config.jobs if jobs is None else jobs
     points = sweep_cells(config)
-    if jobs <= 1 or len(points) <= 1:
+    if config.jobs <= 1 or len(points) <= 1:
         per_point = [run_cell(config, *point) for point in points]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             per_point = list(pool.map(run_cell, repeat(config), *zip(*points)))
     return [rows[i] for i in range(len(config.schemes)) for rows in per_point]
 

@@ -42,12 +42,6 @@ class KeyMetrics:
     kdr: float
     information_capped: bool = False
 
-    def __post_init__(self):
-        if not (0.0 <= self.kdr <= 1.0):
-            raise ValueError("kdr must lie in [0, 1]")
-        if self.csk_bit_rate < 0 or self.csk_information < 0:
-            raise ValueError("key rates must be >= 0")
-
 
 def _increasing(thresholds: np.ndarray) -> bool:
     return bool(np.all((thresholds[0] < thresholds[1]) & (thresholds[1] < thresholds[2])))
@@ -100,24 +94,19 @@ def _disagreeing(bits_a, bits_b) -> tuple:
     return int(np.count_nonzero(a != b)), a.size
 
 
-def kdr(bits_a, bits_b) -> float:
-    """Fraction of positions where the two bit streams disagree."""
-    disagreeing, size = _disagreeing(bits_a, bits_b)
-    return disagreeing / size
-
-
-def csk(rho_hat: float, bits_a, bits_b, subcarriers_used: int) -> KeyMetrics:
+def csk(rho_hat: float, bits_a, bits_b) -> KeyMetrics:
     """Key-rate metrics of a measurement block.
 
     Two rates are reported: the number of agreeing bit positions per
     subcarrier use, and the information estimate ``-log2(1 - rho_hat^2)``.
     The bit rate and the disagreement ratio come from one comparison of the
-    streams.  A correlation magnitude at or above 1 caps the information
+    streams; each subcarrier use carries two bits, so an odd bit count is
+    rejected.  A correlation magnitude at or above 1 caps the information
     estimate at ``INFO_RATE_CAP`` and sets the flag.
     """
-    if subcarriers_used <= 0:
-        raise ValueError("subcarriers_used must be > 0")
     disagreeing, size = _disagreeing(bits_a, bits_b)
+    if size % 2:
+        raise ValueError(f"bit streams hold two bits per subcarrier use, got an odd count {size}")
     rho_mag = abs(rho_hat)
     capped = rho_mag >= 1.0
     if capped:
@@ -125,4 +114,4 @@ def csk(rho_hat: float, bits_a, bits_b, subcarriers_used: int) -> KeyMetrics:
     else:
         information = min(-math.log2(1.0 - rho_mag ** 2), INFO_RATE_CAP)
         capped = information >= INFO_RATE_CAP
-    return KeyMetrics((size - disagreeing) / subcarriers_used, information, disagreeing / size, capped)
+    return KeyMetrics((size - disagreeing) / (size // 2), information, disagreeing / size, capped)

@@ -117,9 +117,10 @@ def _exchange(env: Environment, slot: int, probes):
     of the probe, is the same with or without the pilot.
     """
     freqs = env.ofdm.pilot_freqs
-    fading = (make_fading_process(env.profiles[link], substream(env.stream, 0, 3 * slot + i), env.trials)
-              for i, link in enumerate(_SLOT_LINKS))
-    direct, h_ar, h_rb = (frequency_response(link, freqs) for link in fading)
+    profiles = [env.profiles[link] for link in _SLOT_LINKS]
+    gains = (make_fading_process(profile, substream(env.stream, 0, 3 * slot + i), env.trials)
+             for i, profile in enumerate(profiles))
+    direct, h_ar, h_rb = (frequency_response(profile, g, freqs) for profile, g in zip(profiles, gains))
     cascade = h_ar * h_rb
     stream = substream(env.stream, 1, slot)
     aggregates = surface_aggregates(env.n_units, env.attacked, stream, env.trials)

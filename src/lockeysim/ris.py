@@ -42,6 +42,11 @@ def _phasors(phases: np.ndarray) -> np.ndarray:
     return phasors
 
 
+def _unit_phasors(rng, shape) -> np.ndarray:
+    """Unit phasors of one ``uniform(0, 2*pi, shape)`` phase draw from `rng`."""
+    return _phasors(rng.uniform(0.0, 2.0 * np.pi, shape))
+
+
 def surface_aggregates(n_units: int, attacked: int, stream: Stream, trials: Optional[int] = None):
     """Aggregates ``(phi_first, phi_second)`` the two probes of a slot see.
 
@@ -57,14 +62,12 @@ def surface_aggregates(n_units: int, attacked: int, stream: Stream, trials: Opti
         raise ValueError("n_units must be >= 1")
     if not 0 <= attacked <= n_units:
         raise ValueError(f"attacked must lie in [0, {n_units}] (the surface's units), got {attacked}")
-    phases = as_rng(substream(stream, 0)).uniform(0.0, 2.0 * np.pi, size=batch_shape(trials, n_units))
     # the phasors are computed once; the attacked units are overwritten in place
-    phasors = _phasors(phases)
+    phasors = _unit_phasors(as_rng(substream(stream, 0)), batch_shape(trials, n_units))
     phi_first = np.sum(phasors, axis=-1)
     if attacked == 0:
         return phi_first, phi_first
     rng = as_rng(substream(stream, 1))
-    units = np.argsort(rng.random(phases.shape), axis=-1)[..., :attacked]
-    fresh = rng.uniform(0.0, 2.0 * np.pi, size=units.shape)
-    np.put_along_axis(phasors, units, _phasors(fresh), axis=-1)
+    units = np.argsort(rng.random(phasors.shape), axis=-1)[..., :attacked]
+    np.put_along_axis(phasors, units, _unit_phasors(rng, units.shape), axis=-1)
     return phi_first, np.sum(phasors, axis=-1)

@@ -42,10 +42,10 @@ def _sweep(preset: str, jobs: int):
     config = preset_config(preset, base=build_config({
         "harness.trials": TRIALS,
         "harness.snr_grid_db": list(SNR_GRID),
-    }))
+    })).with_overrides(jobs=jobs)
     key = (config.schemes, tuple(sweep_cells(config)), jobs)
     if key not in _sweep_cache:
-        _sweep_cache[key] = run_sweep(config, jobs=jobs)
+        _sweep_cache[key] = run_sweep(config)
     return _sweep_cache[key]
 
 
@@ -103,18 +103,21 @@ def test_criterion_03_empirical_gamma_oracle():
     sets = [
         (analysis.ModelStats(2.0, 3.0, 0.5, 0.5, 1.0, 1.0), False),
         (analysis.ModelStats(0.9, 0.8, 0.6, 0.4, 1.2, 0.9), True),
-        (analysis.ModelStats(1.0, 1.0, 0.0, 0.0, 1.0, 1.5), True),
+        (analysis.ModelStats(0.7, 1.2, 0.2, 0.6, 1.0, 1.5), True),
     ]
     gaps = []
+    distinct = True
     for i, (stats, match_power) in enumerate(sets):
         x, y = analysis.sample_loopback_pairs(stats, 100_000, (301, i),
                                               match_second_moment=match_power)
+        # identical sides would fit gamma = 1 exactly whatever the sampler
+        distinct = distinct and not np.array_equal(x, y)
         gamma_hat = estimate_gamma(x[:, None], y[:, None], min_rounds=200)[0]
         gaps.append(abs(abs(gamma_hat) - analysis.gamma_analytic(stats)))
     elapsed = time.perf_counter() - started
-    ok = all(g <= 0.02 for g in gaps) and elapsed < 60.0
+    ok = distinct and all(g <= 0.02 for g in gaps) and elapsed < 60.0
     assert _report("criterion 3 (empirical gamma oracle)", ok,
-                   "gaps " + ", ".join(f"{g:.4f}" for g in gaps) + f", {elapsed:.1f}s")
+                   "gaps " + ", ".join(f"{g:.4f}" for g in gaps) + f", distinct sides={distinct}, {elapsed:.1f}s")
 
 
 def test_criterion_04_first_round_correlation_oracle():
@@ -333,8 +336,8 @@ def test_criterion_12_determinism_across_workers(tmp_path):
     config = preset_config("fig5c", base=build_config({
         "harness.trials": TRIALS,
         "harness.snr_grid_db": list(SNR_GRID),
-    }))
-    emit_csv(run_sweep(config, jobs=2), str(two))
+    })).with_overrides(jobs=2)
+    emit_csv(run_sweep(config), str(two))
     identical = one.read_bytes() == two.read_bytes()
     elapsed = time.perf_counter() - started
     ok = identical and elapsed < 600.0
@@ -354,7 +357,7 @@ def test_criterion_13_quantizer_unit_suite():
     rng = np.random.default_rng(131)
     a = rng.integers(0, 2, 4096).astype(np.uint8)
     b = rng.integers(0, 2, 4096).astype(np.uint8)
-    symmetric = keygen.kdr(a, b) == keygen.kdr(b, a)
+    symmetric = keygen.csk(0.5, a, b).kdr == keygen.csk(0.5, b, a).kdr
     # quartile balance at 1e5 samples
     values = rng.rayleigh(size=100_000)
     bits = keygen.quantize_gray2(values, keygen.compute_thresholds(values))

@@ -6,7 +6,6 @@ from lockeysim.fading import (
     ALICE_RIS_PROFILE,
     BOB_HF_PROFILE,
     ALICE_BOB_PROFILE,
-    FadingProcess,
     TapProfile,
     add_awgn,
     fingerprint_response,
@@ -44,20 +43,20 @@ class TestTapProfile:
 
 class TestFadingProcess:
     def test_deterministic_given_stream(self):
-        p1 = make_fading_process(ALICE_RIS_PROFILE, (42,))
-        p2 = make_fading_process(ALICE_RIS_PROFILE, (42,))
-        np.testing.assert_array_equal(p1.gains, p2.gains)
+        g1 = make_fading_process(ALICE_RIS_PROFILE, (42,))
+        g2 = make_fading_process(ALICE_RIS_PROFILE, (42,))
+        np.testing.assert_array_equal(g1, g2)
 
     def test_per_tap_power_matches_profile(self):
         # ensemble of independent realizations
-        gains = make_fading_process(ALICE_RIS_PROFILE, (100,), trials=100_000).gains
+        gains = make_fading_process(ALICE_RIS_PROFILE, (100,), trials=100_000)
         measured_db = 10.0 * np.log10(np.mean(np.abs(gains) ** 2, axis=0))
         np.testing.assert_allclose(measured_db, ALICE_RIS_PROFILE.powers_db, atol=0.2)
 
     def test_taps_are_circular_gaussian(self):
         # the closed forms assume circular complex Gaussian links: per-tap
         # power as profiled, fourth moment 2 P^2, vanishing pseudo-moment
-        gains = make_fading_process(ALICE_RIS_PROFILE, (101,), trials=100_000).gains
+        gains = make_fading_process(ALICE_RIS_PROFILE, (101,), trials=100_000)
         power = np.mean(np.abs(gains) ** 2, axis=0)
         np.testing.assert_allclose(10.0 * np.log10(power), ALICE_RIS_PROFILE.powers_db, atol=0.2)
         kurtosis = np.mean(np.abs(gains) ** 4 / power ** 2)
@@ -66,42 +65,43 @@ class TestFadingProcess:
 
     def test_single_tap_unit_power_doppler0_is_constant_flat(self):
         profile = TapProfile((0.0,), (0.0,))
-        process = make_fading_process(profile, (7,))
+        gains = make_fading_process(profile, (7,))
+        assert gains.shape == (1,)
         freqs = np.arange(0, 64) * 15e3
-        h0 = frequency_response(process, freqs)
+        h0 = frequency_response(profile, gains, freqs)
         # flat: the single gain appears at every subcarrier
         np.testing.assert_allclose(h0, h0[0])
         # unit variance over an ensemble
-        samples = make_fading_process(profile, (8,), trials=20_000).gains[:, 0]
+        samples = make_fading_process(profile, (8,), trials=20_000)[:, 0]
         assert np.mean(np.abs(samples) ** 2) == pytest.approx(1.0, abs=0.03)
 
     def test_batched_realizations_are_independent_rows(self):
-        process = make_fading_process(ALICE_RIS_PROFILE, (9,), trials=4000)
-        assert process.gains.shape == (4000, ALICE_RIS_PROFILE.n_taps)
-        measured_db = 10.0 * np.log10(np.mean(np.abs(process.gains) ** 2, axis=0))
+        gains = make_fading_process(ALICE_RIS_PROFILE, (9,), trials=4000)
+        assert gains.shape == (4000, ALICE_RIS_PROFILE.n_taps)
+        measured_db = 10.0 * np.log10(np.mean(np.abs(gains) ** 2, axis=0))
         np.testing.assert_allclose(measured_db, ALICE_RIS_PROFILE.powers_db, atol=0.5)
         freqs = np.arange(64) * 15e3
-        response = frequency_response(process, freqs)
-        row = FadingProcess(ALICE_RIS_PROFILE, process.gains[7])
-        np.testing.assert_allclose(response[7], frequency_response(row, freqs), rtol=1e-12)
+        response = frequency_response(ALICE_RIS_PROFILE, gains, freqs)
+        row = frequency_response(ALICE_RIS_PROFILE, gains[7], freqs)
+        np.testing.assert_allclose(response[7], row, rtol=1e-12)
 
 
 class TestFrequencyResponse:
     def test_tap_sum_oracle(self):
         # brute-force summation over taps
-        process = make_fading_process(ALICE_BOB_PROFILE, (11,))
+        gains = make_fading_process(ALICE_BOB_PROFILE, (11,))
         freqs = np.arange(64) * 15e3
         expected = np.array([
             sum(g * np.exp(-2j * np.pi * f * d)
-                for g, d in zip(process.gains, process.profile.delays_s))
+                for g, d in zip(gains, ALICE_BOB_PROFILE.delays_s))
             for f in freqs
         ])
-        np.testing.assert_allclose(frequency_response(process, freqs), expected)
+        np.testing.assert_allclose(frequency_response(ALICE_BOB_PROFILE, gains, freqs), expected)
 
     def test_rejects_non_finite_freqs(self):
-        process = make_fading_process(ALICE_BOB_PROFILE, (1,))
+        gains = make_fading_process(ALICE_BOB_PROFILE, (1,))
         with pytest.raises(ValueError):
-            frequency_response(process, [np.inf])
+            frequency_response(ALICE_BOB_PROFILE, gains, [np.inf])
 
 
 class TestFingerprint:
@@ -138,7 +138,9 @@ class TestAddAwgn:
     def test_noiseless_flag_returns_input(self):
         signal = np.exp(1j * np.linspace(0, 3, 32))
         np.testing.assert_array_equal(add_awgn(signal, None, (1,)), signal)
-        np.testing.assert_array_equal(add_awgn(signal, np.inf, (1,)), signal)
+        # None is the one noiseless spelling: +inf is not a finite SNR
+        with pytest.raises(ValueError, match="finite or the noiseless flag"):
+            add_awgn(signal, np.inf, (1,))
 
     @pytest.mark.parametrize("snr_db,expected_var", [(0.0, 1.0), (20.0, 0.01)])
     def test_noise_variance_unit_power_signal(self, snr_db, expected_var):

@@ -236,10 +236,28 @@ class TestSweep:
 
     def test_jobs_do_not_change_results(self, tmp_path):
         config = tiny_config()
+        serial, parallel = config.with_overrides(jobs=1), config.with_overrides(jobs=2)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(run_sweep(config, jobs=1), str(a))
-        emit_csv(run_sweep(config, jobs=2), str(b))
+        emit_csv(run_sweep(serial), str(a))
+        emit_csv(run_sweep(parallel), str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_config_jobs_sizes_the_worker_pool(self, monkeypatch):
+        # config.jobs is the one worker-count setting: a pool of that size runs the points
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        run_sweep(tiny_config().with_overrides(jobs=1))
+        assert sizes == []
+        run_sweep(tiny_config().with_overrides(jobs=3))
+        assert sizes == [3]
 
     @settings(max_examples=10, deadline=None)
     @given(grid=st.permutations(INDEPENDENCE_GRID).flatmap(

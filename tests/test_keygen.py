@@ -9,7 +9,6 @@ from lockeysim.keygen import (
     GRAY2_CODES,
     compute_thresholds,
     csk,
-    kdr,
     quantize_gray2,
 )
 
@@ -68,7 +67,7 @@ class TestQuantize:
         a = quantize_gray2(values, thresholds)
         b = quantize_gray2(values.copy(), thresholds)
         np.testing.assert_array_equal(a, b)
-        assert kdr(a, b) == 0.0
+        assert csk(0.0, a, b).kdr == 0.0
 
     def test_quartile_balance(self):
         rng = np.random.default_rng(1)
@@ -104,29 +103,31 @@ class TestQuantize:
 
 
 class TestKdr:
+    """The disagreement ratio `csk` reports with the rates."""
+
     def test_identical(self):
         bits = np.array([0, 1, 1, 0], dtype=np.uint8)
-        assert kdr(bits, bits) == 0.0
+        assert csk(0.5, bits, bits).kdr == 0.0
 
     def test_complementary(self):
         bits = np.array([0, 1, 1, 0], dtype=np.uint8)
-        assert kdr(bits, 1 - bits) == 1.0
+        assert csk(0.5, bits, 1 - bits).kdr == 1.0
 
     def test_single_flip(self):
         a = np.zeros(128, dtype=np.uint8)
         b = a.copy()
         b[17] = 1
-        assert kdr(a, b) == pytest.approx(1.0 / 128.0)
+        assert csk(0.5, a, b).kdr == pytest.approx(1.0 / 128.0)
 
     def test_symmetric(self):
         rng = np.random.default_rng(3)
-        a = rng.integers(0, 2, 999).astype(np.uint8)
-        b = rng.integers(0, 2, 999).astype(np.uint8)
-        assert kdr(a, b) == kdr(b, a)
+        a = rng.integers(0, 2, 998).astype(np.uint8)
+        b = rng.integers(0, 2, 998).astype(np.uint8)
+        assert csk(0.5, a, b).kdr == csk(0.5, b, a).kdr
 
     def test_rejects_mismatch(self):
-        with pytest.raises(ValueError):
-            kdr(np.zeros(3, dtype=np.uint8), np.zeros(4, dtype=np.uint8))
+        with pytest.raises(ValueError, match="length"):
+            csk(0.5, np.zeros(3, dtype=np.uint8), np.zeros(4, dtype=np.uint8))
 
 
 class TestCsk:
@@ -137,48 +138,48 @@ class TestCsk:
         n = 50_000
         a = rng.integers(0, 2, 2 * n).astype(np.uint8)
         b = rng.integers(0, 2, 2 * n).astype(np.uint8)
-        metrics = csk(0.0, a, b, subcarriers_used=n)
+        metrics = csk(0.0, a, b)
         assert metrics.csk_information == 0.0
         assert metrics.csk_bit_rate == pytest.approx(1.0, abs=0.02)
 
     def test_information_estimate_at_rho_09(self):
         a = np.zeros(8, dtype=np.uint8)
-        metrics = csk(0.9, a, a, subcarriers_used=4)
+        metrics = csk(0.9, a, a)
         assert metrics.csk_information == pytest.approx(-math.log2(0.19), abs=1e-12)
         assert metrics.csk_information == pytest.approx(2.3959, abs=1e-4)
 
     def test_perfect_agreement_two_bits_per_subcarrier(self):
         a = np.ones(128, dtype=np.uint8)
-        metrics = csk(0.5, a, a, subcarriers_used=64)
+        metrics = csk(0.5, a, a)
         assert metrics.csk_bit_rate == pytest.approx(2.0)
         assert metrics.kdr == 0.0
 
     def test_correlation_at_one_is_capped_and_flagged(self):
         a = np.ones(8, dtype=np.uint8)
-        metrics = csk(1.0, a, a, subcarriers_used=4)
+        metrics = csk(1.0, a, a)
         assert metrics.information_capped
         assert metrics.csk_information == 10.0
 
     def test_monotone_in_correlation(self):
         a = np.ones(8, dtype=np.uint8)
-        rates = [csk(r, a, a, 4).csk_information for r in np.linspace(0.0, 0.99, 25)]
+        rates = [csk(r, a, a).csk_information for r in np.linspace(0.0, 0.99, 25)]
         assert all(x <= y for x, y in zip(rates, rates[1:]))
 
-    def test_rejects_zero_subcarriers(self):
-        with pytest.raises(ValueError):
-            csk(0.1, np.ones(2, dtype=np.uint8), np.ones(2, dtype=np.uint8), 0)
-
+    def test_rejects_odd_bit_count(self):
+        # two bits per subcarrier use: an odd count is no whole number of uses
+        with pytest.raises(ValueError, match="odd count 3"):
+            csk(0.1, np.ones(3, dtype=np.uint8), np.ones(3, dtype=np.uint8))
 
     def test_rejects_mismatched_or_empty_streams(self):
         with pytest.raises(ValueError, match="length"):
-            csk(0.1, np.ones(2, dtype=np.uint8), np.ones(4, dtype=np.uint8), 1)
+            csk(0.1, np.ones(2, dtype=np.uint8), np.ones(4, dtype=np.uint8))
         with pytest.raises(ValueError, match="empty"):
-            csk(0.1, np.ones(0, dtype=np.uint8), np.ones(0, dtype=np.uint8), 1)
+            csk(0.1, np.ones(0, dtype=np.uint8), np.ones(0, dtype=np.uint8))
 
     @given(pairs=st.integers(1, 64).flatmap(lambda n: st.tuples(*(st.binary(min_size=n, max_size=n),) * 2)))
     def test_bit_rate_is_a_function_of_kdr(self, pairs):
         # two bits per subcarrier use: the agreeing bits per use are 2 * (1 - kdr)
         a, b = (np.unpackbits(np.frombuffer(bits, dtype=np.uint8)) for bits in pairs)
-        metrics = csk(0.5, a, b, subcarriers_used=a.size // 2)
-        assert metrics.kdr == kdr(a, b)
+        metrics = csk(0.5, a, b)
+        assert metrics.kdr == np.count_nonzero(a != b) / a.size
         assert metrics.csk_bit_rate == pytest.approx(2.0 * (1.0 - metrics.kdr), rel=1e-12, abs=1e-12)

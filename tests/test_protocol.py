@@ -38,8 +38,8 @@ def air_response(env, slot, link, freqs):
     """Response of link `link` (0 ``alice_bob``, 1 ``alice_ris``, 2 ``ris_bob``)
     in slot `slot`, drawn from the key ``(env.stream, 0, 3*slot + link)``."""
     name = ("alice_bob", "alice_ris", "ris_bob")[link]
-    fading = make_fading_process(env.profiles[name], substream(env.stream, 0, 3 * slot + link), env.trials)
-    return frequency_response(fading, freqs)
+    gains = make_fading_process(env.profiles[name], substream(env.stream, 0, 3 * slot + link), env.trials)
+    return frequency_response(env.profiles[name], gains, freqs)
 
 
 def slot_stream(env, slot):

@@ -142,7 +142,18 @@ def frequency_response(profile: TapProfile, gains, subcarrier_freqs) -> np.ndarr
 
     The response at frequency f is ``sum_l gain_l * exp(-2j*pi*f*delay_l)``.
     """
-    return gains @ _steering(profile, _finite_freqs(subcarrier_freqs))
+    steering = _steering(profile, _finite_freqs(subcarrier_freqs))
+    gains = np.asarray(gains)
+    if gains.shape[-1:] != (profile.n_taps,):
+        raise ValueError(f"gains of shape {gains.shape} do not hold the profile's {profile.n_taps} taps")
+    # The taps are summed one by one instead of as ``gains @ steering``: a
+    # matrix product goes to BLAS, which starts its own threads (doubling
+    # the CPU time of a run for no speed-up) and whose sums can depend on
+    # the thread count.
+    response = gains[..., 0, None] * steering[0]
+    for tap in range(1, profile.n_taps):
+        response += gains[..., tap, None] * steering[tap]
+    return response
 
 
 def fingerprint_response(profile: TapProfile, subcarrier_freqs) -> np.ndarray:
@@ -151,8 +162,16 @@ def fingerprint_response(profile: TapProfile, subcarrier_freqs) -> np.ndarray:
     The filter's tap amplitudes are the square roots of the profile's
     linear powers with zero phase, so the response is a constant of the
     device and transmission direction; it never varies with simulation time.
+    It is cached by value like the steering matrix and returned read-only.
     """
-    return np.sqrt(profile.linear_powers) @ _steering(profile, _finite_freqs(subcarrier_freqs))
+    return _fingerprint(profile, _finite_freqs(subcarrier_freqs))
+
+
+@functools.lru_cache(maxsize=64)
+def _fingerprint(profile: TapProfile, freqs: tuple) -> np.ndarray:
+    response = frequency_response(profile, np.sqrt(profile.linear_powers), freqs)
+    response.setflags(write=False)
+    return response
 
 
 def add_awgn(signal, snr_db: Optional[float], stream: Stream, ref_power: Optional[float] = None):

@@ -52,14 +52,29 @@ def compute_thresholds(values) -> np.ndarray:
 
     Each party computes thresholds from its own block, which keeps the bit
     mapping invariant under a common positive scaling of the magnitudes.
-    Percentiles use linear interpolation, so samples {1,2,3,4} give cut
+    The percentiles are numpy's ``linear`` method, bit for bit: quartile q
+    of n samples lies at position ``q * (n - 1)`` of the sorted block,
+    interpolated between its two neighbours, so samples {1,2,3,4} give cut
     points (1.75, 2.5, 3.25).  A 2-D block gets a ``(3, columns)`` array,
-    the cut points of each column.
+    the cut points of each column, from one sort of the block.
     """
     values = np.atleast_1d(np.asarray(values, dtype=float))
-    if values.shape[0] < 4:
+    n = values.shape[0]
+    if n < 4:
         raise ValueError("need at least 4 samples to place quartile thresholds")
-    thresholds = np.percentile(values, [25.0, 50.0, 75.0], axis=0)
+    ordered = np.sort(values, axis=0)
+    thresholds = np.empty((3, *values.shape[1:]))
+    for i, q in enumerate((0.25, 0.5, 0.75)):
+        # exact for these q; below n - 1, so both neighbours exist
+        position = q * (n - 1)
+        below = int(position)
+        weight = position - below
+        low, high = ordered[below], ordered[below + 1]
+        step = high - low
+        # numpy's lerp, which interpolates from the nearer neighbour
+        thresholds[i] = low + step * weight if weight < 0.5 else high - step * (1.0 - weight)
+    # a column holding NaN sorts it last and gets NaN cut points, as in numpy
+    np.copyto(thresholds, ordered[-1], where=np.isnan(ordered[-1]))
     if not _increasing(thresholds):
         raise DegenerateSampleError("degenerate sample block: quartile thresholds are not distinct")
     return thresholds

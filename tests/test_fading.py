@@ -103,6 +103,11 @@ class TestFrequencyResponse:
         with pytest.raises(ValueError):
             frequency_response(ALICE_BOB_PROFILE, gains, [np.inf])
 
+    def test_rejects_gains_of_another_tap_count(self):
+        gains = make_fading_process(ALICE_HF_PROFILE, (1,), trials=3)
+        with pytest.raises(ValueError, match="5 taps"):
+            frequency_response(ALICE_BOB_PROFILE, gains, [0.0, 15e3])
+
 
 class TestFingerprint:
     def test_identity_fingerprint_all_ones(self):
@@ -132,6 +137,23 @@ class TestFingerprint:
         np.testing.assert_array_equal(
             fingerprint_response(BOB_HF_PROFILE, freqs), fingerprint_response(BOB_HF_PROFILE, freqs)
         )
+
+    def test_cached_response_is_read_only(self):
+        response = fingerprint_response(BOB_HF_PROFILE, np.arange(13) * 75e3)
+        with pytest.raises(ValueError):
+            response[0] = 0.0
+
+    def test_list_and_array_share_the_cached_response(self):
+        freqs = np.arange(13) * 75e3
+        assert fingerprint_response(ALICE_HF_PROFILE, list(freqs)) is fingerprint_response(ALICE_HF_PROFILE, freqs)
+
+    def test_matches_amplitudes_times_steering(self):
+        freqs = np.arange(13) * 75e3
+        for profile in (ALICE_HF_PROFILE, BOB_HF_PROFILE):
+            amplitudes = np.sqrt(profile.linear_powers)
+            steering = np.exp(-2j * np.pi * np.outer(profile.delays_s, freqs))
+            error = np.abs(fingerprint_response(profile, freqs) - amplitudes @ steering)
+            assert np.all(error <= 4 * np.finfo(float).eps * np.sum(amplitudes))
 
 
 class TestAddAwgn:

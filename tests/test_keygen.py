@@ -1,16 +1,42 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lockeysim import keygen
+from lockeysim.analysis import DegenerateSampleError
 from lockeysim.keygen import (
     GRAY2_CODES,
     compute_thresholds,
     csk,
     quantize_gray2,
 )
+
+
+@st.composite
+def _magnitude_blocks(draw):
+    """A (n, ...) float block, 1-D to 3-D, each column plain, tied, holding
+    zeros, holding infinities or holding NaN."""
+    n = draw(st.integers(4, 2000))
+    tail = draw(st.lists(st.integers(1, 4), max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.rayleigh(size=(n, *tail))
+    columns = values.reshape(n, -1)
+    for j in range(columns.shape[1]):
+        kind = draw(st.sampled_from(("plain", "plain", "ties", "zeros", "inf", "nan")))
+        hits = rng.random(n) < draw(st.floats(0.0, 0.5))
+        if kind == "ties":
+            columns[:, j] = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], size=n)
+        elif kind == "zeros":
+            columns[hits, j] = 0.0
+        elif kind == "inf":
+            columns[hits, j] = rng.choice([-np.inf, np.inf], size=np.count_nonzero(hits))
+        elif kind == "nan":
+            columns[hits, j] = np.nan
+    return values
 
 
 class TestThresholds:
@@ -47,6 +73,26 @@ class TestThresholds:
     def test_rejects_tiny_block(self):
         with pytest.raises(ValueError):
             compute_thresholds([1.0, 2.0, 3.0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=_magnitude_blocks())
+    def test_bitwise_numpy_percentile(self, values):
+        # inf - inf inside the interpolation warns; the values are compared
+        with np.errstate(invalid="ignore"):
+            expected = np.percentile(values, [25.0, 50.0, 75.0], axis=0)
+            # the cut points themselves, NaN and inf columns included
+            with mock.patch.object(keygen, "_increasing", lambda thresholds: True):
+                got = compute_thresholds(values)
+            assert got.shape == expected.shape
+            nan = np.isnan(expected)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            np.testing.assert_array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+            # and the same block is accepted exactly where numpy's are distinct
+            if np.all((expected[0] < expected[1]) & (expected[1] < expected[2])):
+                np.testing.assert_array_equal(compute_thresholds(values).view(np.uint64), expected.view(np.uint64))
+            else:
+                with pytest.raises(DegenerateSampleError):
+                    compute_thresholds(values)
 
 
 class TestQuantize:

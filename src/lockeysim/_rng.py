@@ -28,7 +28,11 @@ into fixed-size blocks, block ``i`` drawing from ``substream(stream, i)``.
 Their Generators are built on the calling thread and the blocks filled on
 a thread pool, so the values depend on the key and the sample count but not
 on the number of threads.  A block draws its Gaussians and, only where the
-filters are not fully coupled, one filter phasor per sample.
+filters are not fully coupled, one filter phasor per sample.  Each circular
+Gaussian takes two draws from the block's Generator, a uniform phase and
+then an exponential power (the polar form).  Another exact method, such as
+two ``standard_normal`` draws, would give other values of the same law; the
+trial kernel draws its Gaussians that way.
 """
 
 from __future__ import annotations

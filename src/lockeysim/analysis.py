@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ._rng import Stream, as_rng, substream
-from .ris import _unit_phasors
+from .ris import _phasors, _unit_phasors
 
 #: Noise variance assumed by every closed form.
 NOISE_VAR = 1.0
@@ -248,11 +248,23 @@ def _fill_blocks(n: int, stream: Stream, fill):
 
 
 def _complex_normal(rng, var: float, m: int, out=None) -> np.ndarray:
-    """`m` circular complex Gaussians of variance `var` from one real draw,
-    written into the complex array `out` when one is given."""
-    z = rng.standard_normal(2 * m, out=None if out is None else out.view(np.float64))
-    z *= math.sqrt(var / 2.0)
-    return z.view(complex)
+    """`m` circular complex Gaussians of variance `var`, written into the
+    complex array `out` when one is given.
+
+    Drawn in polar form: the power ``|z|**2`` of such a Gaussian is `var`
+    times a standard exponential, and its phase is uniform and independent
+    of the power.  The phases and then the powers pass through one float
+    buffer of `m` values, the only temporary.
+    """
+    buf = rng.random(m)
+    buf *= 2.0 * np.pi
+    z = _phasors(buf, out)
+    rng.standard_exponential(m, out=buf)
+    buf *= var
+    amplitude = np.sqrt(buf, out=buf)
+    z.real *= amplitude
+    z.imag *= amplitude
+    return z
 
 
 def _filter_coupling(stats: ModelStats) -> float:
@@ -307,7 +319,9 @@ def _add_filtered(out, f, coef: float, u, w):
 
 # The fills draw the noise straight into the output and combine in place:
 # besides its output a block holds at most five arrays of its length, which
-# keeps the memory the pool threads leave allocated small.
+# keeps the memory the pool threads leave allocated small.  A Gaussian draw
+# counts among the five: its one float buffer is half the size of a complex
+# array, and it is freed when the draw returns.
 def _fill_first_round(stats: ModelStats, c: float, rng, x, y):
     m = len(x)
     f_a, f_b = _filters(stats, c, rng, m)

@@ -69,14 +69,26 @@ class TapProfile:
     def delays_s(self) -> np.ndarray:
         return np.asarray(self.delays_ms, dtype=float) * 1e-3
 
-    @property
+    # The profile's fields are immutable, so the derived values below are
+    # computed on first use and kept on the instance.
+    @functools.cached_property
     def linear_powers(self) -> np.ndarray:
-        """Per-tap average power on a linear scale."""
-        return 10.0 ** (np.asarray(self.powers_db, dtype=float) / 10.0)
+        """Read-only per-tap average power on a linear scale."""
+        powers = 10.0 ** (np.asarray(self.powers_db, dtype=float) / 10.0)
+        powers.setflags(write=False)
+        return powers
 
-    @property
+    @functools.cached_property
     def total_power(self) -> float:
         return float(np.sum(self.linear_powers))
+
+    @functools.cached_property
+    def _component_std(self) -> np.ndarray:
+        """Read-only standard deviation ``sqrt(power / 2)`` of the real and of
+        the imaginary part of each tap gain."""
+        std = np.sqrt(self.linear_powers / 2.0)
+        std.setflags(write=False)
+        return std
 
 
 def _us(values) -> tuple:
@@ -113,7 +125,7 @@ def make_fading_process(profile: TapProfile, stream: Stream, trials: Optional[in
     draw = as_rng(stream).standard_normal(batch_shape(trials, profile.n_taps, 2))
     # (re, im) pairs viewed as complex, scaled in place to the tap powers
     gains = draw.view(complex)[..., 0]
-    gains *= np.sqrt(profile.linear_powers / 2.0)
+    gains *= profile._component_std
     return gains
 
 

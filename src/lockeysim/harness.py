@@ -12,6 +12,7 @@ adding or removing other points or schemes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import analysis, keygen
 from .config import ExperimentConfig, build_config
-from .fading import fingerprint_response
+from .fading import TapProfile, fingerprint_response
+from .ofdm import OfdmConfig
 from .protocol import Environment, Scheme, estimate_gamma, loopback_combine, measure_round, run_round
 
 #: (lead, tag) stream-key parts of the measured block and the training window.
@@ -76,6 +78,14 @@ def _train_gamma(config: ExperimentConfig, snr_db, n_units, attacked):
     return estimate_gamma(*loopback_combine(measure_round(env), env), min_rounds=window)
 
 
+@functools.lru_cache(maxsize=64)
+def _filter_power(profile: TapProfile, ofdm: OfdmConfig) -> float:
+    """Mean squared magnitude of a hardware filter's response over the pilot
+    subcarriers: a constant of the configuration, cached by value like the
+    response itself."""
+    return float(np.mean(np.abs(fingerprint_response(profile, ofdm.pilot_freqs)) ** 2))
+
+
 def model_stats_for_cell(config: ExperimentConfig, snr_db: float, n_units: int) -> analysis.ModelStats:
     """Model statistics implied by the environment of one sweep cell.
 
@@ -84,9 +94,8 @@ def model_stats_for_cell(config: ExperimentConfig, snr_db: float, n_units: int) 
     are zero because the generator draws phases uniformly at random, which
     the surface module's invariants pin down.
     """
-    freqs = config.ofdm.pilot_freqs
-    g_a = float(np.mean(np.abs(fingerprint_response(config.profiles["alice_hf"], freqs)) ** 2))
-    g_b = float(np.mean(np.abs(fingerprint_response(config.profiles["bob_hf"], freqs)) ** 2))
+    g_a = _filter_power(config.profiles["alice_hf"], config.ofdm)
+    g_b = _filter_power(config.profiles["bob_hf"], config.ofdm)
     var_ab = config.profiles["alice_bob"].total_power
     var_arb = config.profiles["alice_ris"].total_power * config.profiles["ris_bob"].total_power
     ref = config.noise_ref

@@ -19,8 +19,9 @@ import numpy as np
 from ._rng import Stream, as_rng, batch_shape, substream
 
 
-def _phasors(phases: np.ndarray) -> np.ndarray:
-    """``exp(1j * phases)`` of a float64 array, which it overwrites.
+def _phasors(phases: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``exp(1j * phases)`` of a float64 array, which it overwrites, written
+    into the complex array `out` of the same shape when one is given.
 
     With ``t = tan(phases / 2)`` the phasor is ``(1 - t**2 + 2j*t) / (1 +
     t**2)``, formed as real part ``2 / (1 + t**2) - 1`` and imaginary part
@@ -29,10 +30,11 @@ def _phasors(phases: np.ndarray) -> np.ndarray:
     of writing both, while the result stays within 4 eps of
     ``exp(1j * phases)`` in value and in modulus, also at phases 0 and pi.
     `phases` is overwritten with ``t``: every caller drops the draw once it
-    has its phasors, so the only allocation is the complex output.
+    has its phasors, so the only allocation is the complex output, and
+    none with `out`.
     """
     t = np.tan(np.multiply(phases, 0.5, out=phases), out=phases)
-    phasors = np.empty(t.shape, dtype=complex)
+    phasors = np.empty(t.shape, dtype=complex) if out is None else out
     scale = phasors.real
     np.multiply(t, t, out=scale)
     scale += 1.0

@@ -258,6 +258,37 @@ class TestOnePassMoments:
             estimate_gamma(history[:, ::2], history[:, 1::2], min_rounds=1)
 
 
+class TestComplexNormal:
+    """The polar draw behind every sampler Gaussian has the law of a circular
+    complex Gaussian: an Exp(1) power times `var`, and a uniform phase
+    independent of it.  Each bound is at least 6 standard errors."""
+
+    M = 200_000
+
+    @pytest.mark.parametrize("var", [0.5, 1.0, 4.0])
+    def test_law(self, var):
+        m = self.M
+        z = analysis._complex_normal(np.random.default_rng(215), var, m)
+        assert z.dtype == complex and z.shape == (m,)
+        power = np.abs(z) ** 2 / var
+        assert abs(np.mean(power) - 1.0) < 6.0 / math.sqrt(m)
+        assert abs(np.mean(z * z)) / var < 6.0 / math.sqrt(m)
+        assert abs(np.mean(power ** 2) - 2.0) < 6.0 * math.sqrt(20.0 / m)
+        deciles = np.arange(1, 10) / 10.0
+        q = -np.log1p(-deciles)  # the Exp(1) quantiles
+        cdf = np.searchsorted(np.sort(power), q, side="right") / m
+        assert np.max(np.abs(cdf - deciles)) < 3.0 / math.sqrt(m)
+        phase = z / np.abs(z)
+        assert abs(np.mean(phase)) < 6.0 / math.sqrt(m)
+        assert abs(np.mean(phase * phase)) < 6.0 / math.sqrt(m)
+
+    def test_out_equals_allocating_draw(self):
+        out = np.empty(1_000, dtype=complex)
+        drawn = analysis._complex_normal(np.random.default_rng(216), 2.5, 1_000, out=out)
+        assert drawn is out
+        assert np.array_equal(out, analysis._complex_normal(np.random.default_rng(216), 2.5, 1_000))
+
+
 class TestSamplers:
     def test_first_round_moments(self):
         stats = ModelStats(0.8, 0.9, 0.6, 0.4, 1.5, 1.0)

@@ -399,6 +399,20 @@ class TestMetricsColumns:
         assert high.var_ab == pytest.approx(100.0 * low.var_ab)
         assert low.a == 0.0 and low.b == 0.0
 
+    def test_model_stats_follow_overridden_profiles(self):
+        # the profile constants are cached per profile and per value, so a
+        # configuration given other profiles never reads the first one's
+        config = tiny_config()
+        before = (model_stats_for_cell(config, 10.0, 30), config.noise_ref)
+        keys = {f"channel.{link}.{field}": value for link in ("alice_hf", "alice_bob")
+                for field, value in (("delays_us", [0.0]), ("powers_db", [3.0]))}
+        fresh = tiny_config(**keys)
+        overridden = config.with_overrides(profiles=fresh.profiles)
+        after = (model_stats_for_cell(overridden, 10.0, 30), overridden.noise_ref)
+        assert after == (model_stats_for_cell(fresh, 10.0, 30), fresh.noise_ref)
+        assert after[0].g_a != before[0].g_a and after[0].var_ab != before[0].var_ab
+        assert after[1] != before[1]
+
     def test_configured_aggregate_means_match_generator(self):
         # the zero means fed to the closed forms agree with the measured
         # mean of the aggregates the surface generator actually produces

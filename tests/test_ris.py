@@ -39,6 +39,13 @@ class TestPhasors:
         assert np.max(np.abs(np.abs(phasors) - 1.0)) <= 4 * EPS
         assert phasors[-4] == 1.0 and phasors[-2].real == -1.0
 
+    def test_writes_into_out(self):
+        edges = [0.0, np.pi, np.nextafter(2.0 * np.pi, 0.0)]
+        phases = np.concatenate([np.random.default_rng(41).uniform(0.0, 2.0 * np.pi, 1_000), edges])
+        out = np.empty(phases.shape, dtype=complex)
+        assert ris._phasors(phases.copy(), out) is out
+        assert np.array_equal(out, ris._phasors(phases.copy()))
+
 
 class TestRisState:
     """A surface has at least one unit."""

@@ -25,23 +25,36 @@ does not grow with the trial count.
 
 The model samplers of :mod:`lockeysim.analysis` instead split a long draw
 into fixed-size blocks, block ``i`` drawing from ``substream(stream, i)``.
-Their Generators are built on the calling thread and the blocks filled on
-a thread pool, so the values depend on the key and the sample count but not
-on the number of threads.  A block draws its Gaussians and, only where the
-filters are not fully coupled, one filter phasor per sample.  Each circular
-Gaussian takes two draws from the block's Generator, a uniform phase and
-then an exponential power (the polar form).  Another exact method, such as
-two ``standard_normal`` draws, would give other values of the same law; the
-trial kernel draws its Gaussians that way.
+Their Generators are built on the calling thread and the blocks filled by
+:func:`run_indexed`, so the values depend on the key and the sample count
+but not on the number of threads.  A block draws its Gaussians and, only
+where the filters are not fully coupled, one filter phasor per sample.  Each
+circular Gaussian takes two draws from the block's Generator, a uniform
+phase and then an exponential power (the polar form).  Another exact
+method, such as two ``standard_normal`` draws, would give other values
+of the same law; the trial kernel draws its Gaussians that way.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 Stream = Union[int, Sequence[int]]
+
+
+def run_indexed(fn: Callable, count: int, workers: int) -> list:
+    """``[fn(i) for i in range(count)]`` on ``min(workers, count)`` threads,
+    inline for one.  Each ``fn(i)`` must draw only from streams keyed by its
+    own index, so the values depend on the keys, never on the thread count."""
+    workers = min(workers, count)
+    if workers <= 1:
+        return [fn(i) for i in range(count)]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, range(count)))
 
 
 def _as_key(stream) -> tuple:

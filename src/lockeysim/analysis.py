@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rng import Stream, as_rng, substream
+from ._rng import Stream, as_rng, run_indexed, substream
 from .ris import _phasors, _unit_phasors
 
 #: Noise variance assumed by every closed form.
@@ -220,9 +220,8 @@ def _fill_blocks(n: int, stream: Stream, fill):
     """Complex arrays ``x, y`` of `n` samples, filled block by block.
 
     ``fill(rng, x_block, y_block)`` writes one block from that block's own
-    Generator.  The blocks run on a thread pool as large as the CPUs this
-    process may use, capped at the block count; a single worker runs them
-    inline.
+    Generator.  `run_indexed` runs the blocks, one thread per CPU this
+    process may use, capped at the block count.
     """
     if n < 0:
         raise ValueError(f"need a sample count >= 0, got {n}")
@@ -235,15 +234,7 @@ def _fill_blocks(n: int, stream: Stream, fill):
         block = slice(starts[i], starts[i] + SAMPLE_BLOCK)
         fill(rngs[i], x[block], y[block])
 
-    workers = min(_cpu_count(), len(starts))
-    if workers <= 1:
-        for i in range(len(starts)):
-            run(i)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(starts))))
+    run_indexed(run, len(starts), _cpu_count())
     return x, y
 
 

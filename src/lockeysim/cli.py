@@ -119,7 +119,7 @@ def main(argv=None) -> int:
     sim.add_argument("--output", required=True, help="CSV output path")
     sim.add_argument("--seed", type=int, default=None, help="master seed override")
     sim.add_argument("--trials", type=int, default=None, help="trials per cell override")
-    sim.add_argument("--jobs", type=int, default=None, help="worker process count")
+    sim.add_argument("--jobs", type=int, default=None, help="worker thread count")
     sim.set_defaults(func=_cmd_simulate)
 
     val = sub.add_parser("validate", help="check a configuration file's invariants")

@@ -141,7 +141,7 @@ def _steering(profile: TapProfile, freqs: tuple) -> np.ndarray:
     """Read-only ``(n_taps, n_freqs)`` phase ramps ``exp(-2j*pi*f*delay)``.
 
     Cached by value: a profile and a frequency grid are constants of a
-    configuration, and equal values share one matrix in every process.
+    configuration, and equal values share one matrix.
     """
     steering = np.exp(-2j * np.pi * np.outer(profile.delays_s, freqs))
     steering.setflags(write=False)

@@ -15,12 +15,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from . import analysis, keygen
+from ._rng import run_indexed
 from .config import ExperimentConfig, build_config
 from .fading import TapProfile, fingerprint_response
 from .ofdm import OfdmConfig
@@ -215,18 +215,12 @@ def run_sweep(config: ExperimentConfig) -> list:
     """Run every point of the configured sweep and return its rows in
     (scheme, n_units, attacked, snr) order.
 
-    `config.jobs` worker processes run the points.  The worker count affects
+    `config.jobs` threads run the points.  The worker count affects
     scheduling only: per-point seed derivation makes the result rows
     identical for any worker count.
     """
     points = sweep_cells(config)
-    if config.jobs <= 1 or len(points) <= 1:
-        per_point = [run_cell(config, *point) for point in points]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            per_point = list(pool.map(run_cell, repeat(config), *zip(*points)))
+    per_point = run_indexed(lambda i: run_cell(config, *points[i]), len(points), config.jobs)
     return [rows[i] for i in range(len(config.schemes)) for rows in per_point]
 
 

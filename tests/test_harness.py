@@ -243,7 +243,9 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
     def test_config_jobs_sizes_the_worker_pool(self, monkeypatch):
-        # config.jobs is the one worker-count setting: a pool of that size runs the points
+        # config.jobs is the one worker-count setting, capped at the point
+        # count; the pool starts a thread per submitted point, so even an
+        # uncapped size starts no more threads than points
         import concurrent.futures
 
         sizes = []
@@ -253,11 +255,29 @@ class TestSweep:
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        assert len(sweep_cells(tiny_config())) == 2
         run_sweep(tiny_config().with_overrides(jobs=1))
         assert sizes == []
         run_sweep(tiny_config().with_overrides(jobs=3))
-        assert sizes == [3]
+        run_sweep(tiny_config().with_overrides(jobs=10 ** 6))
+        assert sizes == [2, 2]
+
+    def test_cold_caches_shared_by_worker_threads(self, tmp_path):
+        # the threads fill the by-value caches of the responses and filter
+        # powers, and the fresh profiles' cached properties, concurrently
+        from lockeysim import fading, harness
+
+        config = tiny_config()
+        serial = tmp_path / "serial.csv"
+        emit_csv(run_sweep(config.with_overrides(jobs=1)), str(serial))
+        for cache in (fading._steering, fading._fingerprint, harness._filter_power):
+            cache.cache_clear()
+        profiles = {link: replace(profile) for link, profile in config.profiles.items()}
+        assert not any("linear_powers" in vars(profile) for profile in profiles.values())
+        threaded = tmp_path / "threaded.csv"
+        emit_csv(run_sweep(config.with_overrides(jobs=2, profiles=profiles)), str(threaded))
+        assert threaded.read_bytes() == serial.read_bytes()
 
     @settings(max_examples=10, deadline=None)
     @given(grid=st.permutations(INDEPENDENCE_GRID).flatmap(

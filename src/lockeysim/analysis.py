@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ._rng import Stream, as_rng, run_indexed, substream
-from .ris import _phasors, _unit_phasors
+from .ris import _unit_phasors
 
 #: Noise variance assumed by every closed form.
 NOISE_VAR = 1.0
@@ -61,10 +61,12 @@ class ModelStats:
     var_ab: float
 
     def __post_init__(self):
-        for name in ("g_a", "g_b", "var_arb", "var_ab"):
+        for name in ("g_a", "g_b", "a", "b", "var_arb", "var_ab"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0 and name not in ("a", "b"):
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     @property
     def s4_arb(self) -> float:
@@ -74,29 +76,57 @@ class ModelStats:
     def s4_ab(self) -> float:
         return self.var_ab ** 2
 
+    @functools.cached_property
+    def _quad_coeffs(self):
+        """Coefficients (A, B, C) of the prediction error power A*g^2 - 2*C*g + B."""
+        s4c, s4d = self.s4_arb, self.s4_ab
+        a_term = self.g_a * (self.a ** 2 * s4c + s4d) + NOISE_VAR
+        b_term = self.g_b * (self.b ** 2 * s4c + s4d) + NOISE_VAR
+        c_term = self.g_a * self.g_b * (self.a ** 2 * self.b ** 2 * s4c + s4d) + NOISE_VAR
+        return a_term, b_term, c_term
 
-#: Rows per block of `_cross_sum`: its one reused buffer is 256 KiB per
-#: column, so it stays in cache instead of costing a full-length product.
+
+#: Rows per block of `_moment_sums`: two one-column blocks and the scratch
+#: (768 KiB) stay in cache, and np.einsum's fixed cost (4 us a call) stays small.
 _SUM_BLOCK = 16_384
 
 
-def _cross_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``sum(x * conj(y))`` along the first axis of two equal-shape complex
-    arrays, any strides; ``_cross_sum(z, z).real`` is ``sum(|z|**2)``.
+def _power(a):
+    """``sum(|a|**2)`` along the first axis, read through a float view of `a`."""
+    f = a[..., None].view(float)
+    return np.einsum("i...k,i...k->...", f, f)
 
-    One pass in blocks of `_SUM_BLOCK` rows through one reused buffer, so
-    no temporary the size of the inputs is made.  It calls no BLAS routine,
-    whose sums change with its thread count.
-    """
-    rows = len(x)
-    block = np.empty((min(rows, _SUM_BLOCK), *x.shape[1:]), dtype=complex)
-    total = np.zeros(x.shape[1:], dtype=complex)
-    for start in range(0, rows, _SUM_BLOCK):
-        stop = min(start + _SUM_BLOCK, rows)
-        product = np.conjugate(y[start:stop], out=block[: stop - start])
-        product *= x[start:stop]
-        total += product.sum(axis=0)
-    return total
+
+_SUMS = {
+    "xx": lambda x, y, s: _power(x),
+    "yy": lambda x, y, s: _power(y),
+    "xy": lambda x, y, s: np.einsum("i...->...", np.multiply(x, np.conjugate(y, out=s), out=s)),
+    "x": lambda x, y, s: np.einsum("i...->...", x),
+    "y": lambda x, y, s: np.einsum("i...->...", y),
+    "dd": lambda x, y, s: _power(np.subtract(x, y, out=s)),
+}
+
+
+def _moment_sums(x: np.ndarray, y: np.ndarray, terms: str) -> list:
+    """Sums along the first axis of two equal-shape complex arrays, any
+    strides, one per name in `terms`: ``xx`` is ``sum(|x|**2)``, ``yy``
+    ``sum(|y|**2)``, ``xy`` ``sum(x * conj(y))``, ``x`` and ``y`` the plain
+    sums and ``dd`` ``sum(|x - y|**2)``.
+
+    One pass on the calling thread in blocks of `_SUM_BLOCK` rows, each
+    read while in cache; one block-sized scratch is the only temporary.
+    np.einsum sums in an order set by the block length alone, not by the
+    memory alignment (and calls no BLAS), so the sums are the same for any
+    worker count."""
+    sums = [_SUMS[name] for name in terms.split()]
+    totals = [0.0] * len(sums)
+    scratch = np.empty((min(len(x), _SUM_BLOCK), *x.shape[1:]), dtype=complex)
+    for start in range(0, len(x), _SUM_BLOCK):
+        xb, yb = x[start:start + _SUM_BLOCK], y[start:start + _SUM_BLOCK]
+        s = scratch[: len(xb)]
+        for k, block_sum in enumerate(sums):
+            totals[k] += block_sum(xb, yb, s)
+    return totals
 
 
 def correlation(xs, ys) -> complex:
@@ -114,10 +144,11 @@ def correlation(xs, ys) -> complex:
     if xs.size < 2:
         raise ValueError("need at least 2 samples")
     n = xs.size
-    denom = math.sqrt(_cross_sum(xs, xs).real / n) * math.sqrt(_cross_sum(ys, ys).real / n)
+    sxx, syy, sxy, sx, sy = _moment_sums(xs, ys, "xx yy xy x y")
+    denom = math.sqrt(sxx / n) * math.sqrt(syy / n)
     if denom == 0.0:
         raise DegenerateSampleError("degenerate samples: zero second moment")
-    num = complex(_cross_sum(xs, ys)) / n - np.mean(xs) * np.conj(np.mean(ys))
+    num = complex(sxy) / n - complex(sx) / n * complex(sy).conjugate() / n
     return complex(num / denom)
 
 
@@ -131,17 +162,8 @@ def rho1_analytic(stats: ModelStats) -> float:
 
 def rho2_analytic(stats: ModelStats) -> float:
     """Predicted correlation of the loop-back pair, before compensation."""
-    a_term, b_term, c_term = _quad_coeffs(stats)
+    a_term, b_term, c_term = stats._quad_coeffs
     return c_term / (math.sqrt(a_term) * math.sqrt(b_term))
-
-
-def _quad_coeffs(stats: ModelStats):
-    """Coefficients (A, B, C) of the prediction error power A*g^2 - 2*C*g + B."""
-    s4c, s4d = stats.s4_arb, stats.s4_ab
-    a_term = stats.g_a * (stats.a ** 2 * s4c + s4d) + NOISE_VAR
-    b_term = stats.g_b * (stats.b ** 2 * s4c + s4d) + NOISE_VAR
-    c_term = stats.g_a * stats.g_b * (stats.a ** 2 * stats.b ** 2 * s4c + s4d) + NOISE_VAR
-    return a_term, b_term, c_term
 
 
 def mse_prediction(gamma, stats: ModelStats):
@@ -149,7 +171,7 @@ def mse_prediction(gamma, stats: ModelStats):
 
     An array of scalars gives the error power of each, elementwise.
     """
-    a_term, b_term, c_term = _quad_coeffs(stats)
+    a_term, b_term, c_term = stats._quad_coeffs
     return gamma ** 2 * a_term + b_term - 2.0 * gamma * c_term
 
 
@@ -160,7 +182,7 @@ def gamma_analytic(stats: ModelStats) -> float:
     leading coefficient is at least the noise variance), so the stationary
     point is the unique minimizer.
     """
-    a_term, _, c_term = _quad_coeffs(stats)
+    a_term, _, c_term = stats._quad_coeffs
     return c_term / a_term
 
 
@@ -179,8 +201,8 @@ def empirical_mse(predicted, actual) -> PredictionError:
         raise ValueError("predicted and actual sample counts differ")
     if predicted.size == 0:
         raise ValueError("empty sample set")
-    errors = predicted - actual
-    return PredictionError(float(_cross_sum(errors, errors).real) / errors.size)
+    (error_power,) = _moment_sums(predicted, actual, "dd")
+    return PredictionError(float(error_power) / predicted.size)
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +221,12 @@ def empirical_mse(predicted, actual) -> PredictionError:
 # arithmetic.
 # ---------------------------------------------------------------------------
 
-#: Samples per sampler block.  It bounds a block's temporaries to about
-#: 1 MiB each, a few per thread, instead of full-length arrays, while the
-#: Generator built per block (about 20 us) stays negligible against the
-#: block's draw (about 20 ms).  Between 16,384 and 262,144 the sampling
-#: time barely changes and peak memory grows with the size.  Changing it
-#: changes every sampler value.
-SAMPLE_BLOCK = 65_536
+#: Samples per sampler block.  A block's temporaries are three complex
+#: arrays of this length (1.5 MiB), so its passes run from a core's cache, and
+#: its Generator (about 20 us) is negligible against its draw (about 3 ms).
+#: On a 2-CPU host 16,384 and 65,536 timed the same within run-to-run noise.
+#: Changing it changes every sampler value.
+SAMPLE_BLOCK = 32_768
 
 
 def _cpu_count() -> int:
@@ -243,18 +264,23 @@ def _complex_normal(rng, var: float, m: int, out=None) -> np.ndarray:
     complex array `out` when one is given.
 
     Drawn in polar form: the power ``|z|**2`` of such a Gaussian is `var`
-    times a standard exponential, and its phase is uniform and independent
-    of the power.  The phases and then the powers pass through one float
-    buffer of `m` values, the only temporary.
+    times a standard exponential E, and its phase is uniform and independent
+    of it.  The amplitude ``r = sqrt(var * E)`` is folded into the half-angle
+    tangent phasor of `ris._phasors`: with ``t = tan(phase / 2)``, ``z = 2r /
+    (1 + t**2) - r + 1j * t * 2r / (1 + t**2)``.  Two float buffers of `m`
+    values, the tangents and the amplitudes, are the only temporaries.
     """
-    buf = rng.random(m)
-    buf *= 2.0 * np.pi
-    z = _phasors(buf, out)
-    rng.standard_exponential(m, out=buf)
-    buf *= var
-    amplitude = np.sqrt(buf, out=buf)
-    z.real *= amplitude
-    z.imag *= amplitude
+    t = rng.random(m)
+    np.tan(np.multiply(t, np.pi, out=t), out=t)
+    r = rng.standard_exponential(m)
+    np.sqrt(np.multiply(r, 4.0 * var, out=r), out=r)
+    z = np.empty(m, dtype=complex) if out is None else out
+    np.multiply(t, t, out=z.real)
+    z.real += 1.0
+    np.divide(r, z.real, out=z.real)
+    np.multiply(t, z.real, out=z.imag)
+    r *= 0.5
+    z.real -= r
     return z
 
 
@@ -300,43 +326,42 @@ def _filters(stats: ModelStats, c: Optional[float], rng, m: int):
     return f_a, f_b
 
 
-def _add_filtered(out, f, coef: float, u, w):
-    """``out += f * (coef*u + w)``, computed in place of `u`."""
-    u *= coef
-    u += w
-    u *= f
-    out += u
-
-
-# The fills draw the noise straight into the output and combine in place:
-# besides its output a block holds at most five arrays of its length, which
-# keeps the memory the pool threads leave allocated small.  A Gaussian draw
-# counts among the five: its one float buffer is half the size of a complex
-# array, and it is freed when the draw returns.
+# A fill draws each Gaussian into one complex scratch, folding a real
+# coefficient into the variance where it can, and combines it straight into
+# the output slices.  Besides its output a block holds three complex arrays'
+# worth of its length: the scratch, the two float buffers of a draw and,
+# below full coupling, the filter phasors.
 def _fill_first_round(stats: ModelStats, c: float, rng, x, y):
     m = len(x)
     f_a, f_b = _filters(stats, c, rng, m)
-    u = _complex_normal(rng, stats.var_arb, m)
-    w = _complex_normal(rng, stats.var_ab, m)
-    _complex_normal(rng, NOISE_VAR, m, x)
-    _complex_normal(rng, NOISE_VAR, m, y)
-    _add_filtered(x, f_a, stats.a, u.copy(), w)
-    _add_filtered(y, f_b, stats.b, u, w)
+    s = _complex_normal(rng, stats.var_arb, m)  # u, shared
+    np.multiply(s, f_a * stats.a, out=x)
+    np.multiply(s, stats.b, out=y)
+    _complex_normal(rng, stats.var_ab, m, s)  # w, shared
+    y += s
+    y *= f_b
+    s *= f_a
+    x += s
+    for out in (x, y):
+        out += _complex_normal(rng, NOISE_VAR, m, s)
 
 
 def _fill_loopback(stats: ModelStats, c: Optional[float], rng, x, y):
+    # u_y = rho*u_x + sqrt(1 - rho**2)*u_perp with rho = a*b: y sees b*b*(a*u_x)
     m = len(x)
     f_a, f_b = _filters(stats, c, rng, m)
-    rho_u = stats.a * stats.b
-    u_x = _complex_normal(rng, stats.s4_arb, m)
-    u_y = _complex_normal(rng, stats.s4_arb, m)
-    u_y *= math.sqrt(1.0 - rho_u ** 2)
-    u_y += rho_u * u_x
-    w = _complex_normal(rng, stats.s4_ab, m)
-    _complex_normal(rng, NOISE_VAR, m, x)
-    y[:] = x  # one noise term, shared by both sides
-    _add_filtered(x, f_a, stats.a, u_x, w)
-    _add_filtered(y, f_b, stats.b, u_y, w)
+    s = _complex_normal(rng, stats.a ** 2 * stats.s4_arb, m)  # a*u_x
+    np.multiply(s, f_a, out=x)
+    np.multiply(s, stats.b ** 2, out=y)
+    y += _complex_normal(rng, stats.b ** 2 * (1.0 - (stats.a * stats.b) ** 2) * stats.s4_arb, m, s)
+    _complex_normal(rng, stats.s4_ab, m, s)  # w, shared
+    y += s
+    y *= f_b
+    s *= f_a
+    x += s
+    _complex_normal(rng, NOISE_VAR, m, s)  # one noise term, shared by both sides
+    x += s
+    y += s
 
 
 def sample_first_round_pairs(stats: ModelStats, n: int, stream: Stream):

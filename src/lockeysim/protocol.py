@@ -46,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from ._rng import Stream, substream
-from .analysis import DegenerateSampleError, _cross_sum
+from .analysis import DegenerateSampleError, _moment_sums
 from .fading import add_awgn, fingerprint_response, frequency_response, make_fading_process
 from .ofdm import OfdmConfig
 from .ris import surface_aggregates
@@ -180,10 +180,10 @@ def estimate_gamma(history_a, history_b, min_rounds: int = 200) -> np.ndarray:
         raise ValueError(
             f"history of {h_a.shape[0]} rounds is shorter than the minimum {min_rounds}"
         )
-    denom = _cross_sum(h_a, h_a).real
+    denom, cross = _moment_sums(h_b, h_a, "yy xy")
     if np.any(denom == 0):
         raise DegenerateSampleError("degenerate history: a subcarrier has all-zero reference values")
-    return _cross_sum(h_b, h_a) / denom
+    return cross / denom
 
 
 def run_round(env: Environment, gamma=None, swap_roles: bool = False):

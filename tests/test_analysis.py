@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,17 @@ class TestModelStats:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ModelStats(-1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["a", "b"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_mean(self, field, value):
+        values = dict(g_a=0.5, g_b=0.5, a=0.2, b=0.2, var_arb=1.0, var_ab=1.0)
+        values[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ModelStats(**values)
+
+    def test_negative_mean_accepted(self):
+        assert ModelStats(0.5, 0.5, -0.3, -0.2, 1.0, 1.0).a == -0.3
 
     def test_fourth_moments_are_squared_variances(self):
         stats = ModelStats(1.0, 1.0, 0.0, 0.0, 2.0, 3.0)
@@ -256,6 +268,111 @@ class TestOnePassMoments:
         history[:, 2] = 0.0
         with pytest.raises(analysis.DegenerateSampleError, match="all-zero reference"):
             estimate_gamma(history[:, ::2], history[:, 1::2], min_rounds=1)
+
+
+class TestMomentSums:
+    """`analysis._moment_sums` against plain numpy sums, on both sides of
+    each block boundary, for strided inputs and 2-D histories."""
+
+    B = analysis._SUM_BLOCK
+    TERMS = "xx yy xy x y dd"
+
+    @staticmethod
+    def reference(x, y):
+        return [np.sum(np.abs(x) ** 2, axis=0), np.sum(np.abs(y) ** 2, axis=0),
+                np.sum(x * np.conj(y), axis=0), np.sum(x, axis=0), np.sum(y, axis=0),
+                np.sum(np.abs(x - y) ** 2, axis=0)]
+
+    @staticmethod
+    def inputs(n, layout, seed=60):
+        """A correlated pair with a mean, so no sum is a cancellation."""
+        shape = {"contiguous": (n,), "strided": (2 * n,), "history": (n, 13)}[layout]
+        x, y = TestOnePassMoments.pair(shape, seed)
+        return (x[::2], y[1::2]) if layout == "strided" else (x, y)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "history"])
+    @pytest.mark.parametrize("n", [2, B - 1, B, B + 1, 3 * B + 7])
+    def test_matches_numpy(self, n, layout):
+        x, y = self.inputs(n, layout)
+        for got, want in zip(analysis._moment_sums(x, y, self.TERMS), self.reference(x, y)):
+            assert np.shape(got) == np.shape(want)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_strided_history(self):
+        x, y = TestOnePassMoments.pair((3 * self.B + 7, 26), 61)
+        x, y = x[:, ::2], y[:, 1::2]
+        for got, want in zip(analysis._moment_sums(x, y, self.TERMS), self.reference(x, y)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_terms_in_the_order_asked(self):
+        x, y = self.inputs(100, "contiguous")
+        _, _, _, sx, _, dd = analysis._moment_sums(x, y, self.TERMS)
+        assert analysis._moment_sums(x, y, "dd x") == [dd, sx]
+
+    @pytest.mark.parametrize("layout", ["contiguous", "history"])
+    @pytest.mark.parametrize("n", [B - 1, 3 * B + 7])
+    def test_same_bits_at_any_offset(self, n, layout):
+        # the sums must not depend on where an array starts in memory, or a
+        # sweep's rows could change with the heap layout of its worker count
+        x, y = self.inputs(n, layout)
+        sums = []
+        for offset in range(4):
+            buf_x = np.empty((n + 4, *x.shape[1:]), dtype=complex)
+            buf_y = np.empty_like(buf_x)
+            buf_x[offset:offset + n], buf_y[3 - offset:3 - offset + n] = x, y
+            sums.append([np.asarray(s).tobytes() for s in
+                         analysis._moment_sums(buf_x[offset:offset + n], buf_y[3 - offset:3 - offset + n],
+                                               self.TERMS)])
+        assert all(other == sums[0] for other in sums[1:])
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(result, bytes)``: what `fn` returns and the peak of the memory
+    tracemalloc saw it allocate, above what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
+
+
+class TestTracedMemory:
+    """Memory the samplers and reductions allocate, on one worker thread.
+
+    A sampler block holds one complex scratch, the two float buffers of a
+    Gaussian draw and, below full coupling, the filter phasors: three
+    complex arrays of `SAMPLE_BLOCK` samples.  The bound adds 64 KiB for the
+    Generators and the small objects.  A reduction holds one block-sized
+    scratch, whatever the input length."""
+
+    N = 1_000_000
+
+    @pytest.fixture(autouse=True)
+    def one_worker(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_cpu_count", lambda: 1)
+
+    @pytest.mark.parametrize("sampler, stats, kwargs", [
+        (sample_first_round_pairs, ModelStats(0.8, 0.9, 0.6, 0.4, 1.5, 1.0), {}),
+        (sample_loopback_pairs, ModelStats(0.9, 0.8, 0.6, 0.4, 1.2, 0.9), {}),
+        (sample_loopback_pairs, ModelStats(2.0, 3.0, 0.5, 0.5, 1.0, 1.0), {"match_second_moment": False}),
+    ])
+    def test_sampler_holds_three_blocks_above_its_outputs(self, sampler, stats, kwargs):
+        (x, y), peak = traced_peak(sampler, stats, 4 * analysis.SAMPLE_BLOCK + 7, (230,), **kwargs)
+        assert peak - x.nbytes - y.nbytes <= 3 * 16 * analysis.SAMPLE_BLOCK + 64 * 1024
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        return TestOnePassMoments.pair(self.N, 62)
+
+    @pytest.mark.parametrize("reduction", [
+        correlation, empirical_mse, lambda x, y: estimate_gamma(x[:, None], y[:, None], min_rounds=1),
+    ], ids=["correlation", "empirical_mse", "estimate_gamma"])
+    def test_reduction_peaks_under_one_megabyte(self, samples, reduction):
+        _, peak = traced_peak(reduction, *samples)
+        assert peak < 2 ** 20
 
 
 class TestComplexNormal:

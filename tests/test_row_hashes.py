@@ -1,0 +1,26 @@
+"""`scripts/row_hashes.py` runs end to end at a tiny trial count."""
+
+import re
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "row_hashes.py"
+
+
+def run_script(monkeypatch, capsys, *args):
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), *args])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    runpy.run_path(str(SCRIPT), run_name="__main__")
+    return capsys.readouterr().out
+
+
+def test_one_hash_per_run_and_the_same_for_any_job_count(monkeypatch, capsys, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    args = ("--trials", "4", "--samples", "10000")
+    lines = run_script(monkeypatch, capsys, *args, "--jobs", "1").splitlines()
+    assert [line.split()[0] for line in lines] == ["fig5a", "fig5b", "fig5d", "fig5a", "oracle"]
+    assert "--seed 3 --trials 8" in lines[3] and "--samples 10000" in lines[4]
+    assert all(re.fullmatch(r".+ [0-9a-f]{16}", line) for line in lines)
+    assert run_script(monkeypatch, capsys, *args, "--jobs", "2").splitlines() == lines
+    assert list(tmp_path.iterdir()) == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -43,11 +44,13 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _check(name, got, want, tol):
-    ok = abs(got - want) <= tol
-    status = "PASS" if ok else "FAIL"
-    print(f"  [{status}] {name}: got {got:.5f}, expected {want:.5f} (tol {tol:g})")
-    return ok
+def _output_path(text: str) -> str:
+    """``--output``: a file in an existing directory, checked before the sweep runs."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text} is a directory")
+    if not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(f"directory {os.path.dirname(text)} does not exist")
+    return text
 
 
 def _sample_count(text: str) -> int:
@@ -58,50 +61,45 @@ def _sample_count(text: str) -> int:
     return value
 
 
-def _cmd_oracle(args) -> int:
-    """Analytic formulas against their Monte-Carlo estimates."""
-    n = args.samples
-    ok = True
-
-    print("prediction scalar: closed form vs grid argmin")
-    stats = analysis.ModelStats(g_a=2.0, g_b=3.0, a=0.5, b=0.5, var_arb=1.0, var_ab=1.0)
+def oracle_checks(n: int, key_prefix=()) -> list:
+    """``[(name, got, want, tol)]``: each closed form against its grid or
+    `n`-sample estimate.  Stream keys are ``(*key_prefix, <check key>)``, and
+    each check's samples are freed before the next check draws."""
+    s = analysis.ModelStats
+    stats = s(2.0, 3.0, 0.5, 0.5, 1.0, 1.0)
     gamma_star = analysis.gamma_analytic(stats)
     grid = np.arange(0.0, 3.0 * gamma_star, 1e-3)
-    best = grid[np.argmin(analysis.mse_prediction(grid, stats))]
-    ok &= _check("argmin over gamma grid", best, gamma_star, 1e-3)
-
-    print("prediction scalar: sample estimate vs closed form")
-    sets = [
-        analysis.ModelStats(2.0, 3.0, 0.5, 0.5, 1.0, 1.0),
-        analysis.ModelStats(0.9, 0.8, 0.6, 0.4, 1.2, 0.9),
-        analysis.ModelStats(0.7, 1.2, 0.2, 0.6, 1.0, 1.5),
-    ]
-    for i, stats in enumerate(sets):
-        feasible = stats.g_a * stats.g_b <= 1.0
-        x, y = analysis.sample_loopback_pairs(stats, n, (7100, i), match_second_moment=feasible)
-        gamma_hat = estimate_gamma(x[:, None], y[:, None], min_rounds=1)[0]
-        ok &= _check(f"set {i}: gamma", abs(gamma_hat), analysis.gamma_analytic(stats), 0.02)
-
-    print("first-round correlation: sample estimate vs closed form")
-    regimes = [
-        analysis.ModelStats(1.0, 1.0, 0.0, 0.0, 2.0, 1.0),
-        analysis.ModelStats(0.8, 0.9, 0.6, 0.4, 1.5, 1.0),
-        analysis.ModelStats(1.0, 1.0, 0.8, 0.8, 2.0, 1.0),
-    ]
-    for i, stats in enumerate(regimes):
-        x, y = analysis.sample_first_round_pairs(stats, n, (7200, i))
+    checks = [("argmin over gamma grid", grid[np.argmin(analysis.mse_prediction(grid, stats))], gamma_star, 1e-3)]
+    for i, stats in enumerate([s(2.0, 3.0, 0.5, 0.5, 1.0, 1.0), s(0.9, 0.8, 0.6, 0.4, 1.2, 0.9),
+                               s(0.7, 1.2, 0.2, 0.6, 1.0, 1.5)]):
+        x, y = analysis.sample_loopback_pairs(stats, n, (*key_prefix, 7100, i),
+                                              match_second_moment=stats.g_a * stats.g_b <= 1.0)
+        gamma_hat = abs(estimate_gamma(x[:, None], y[:, None], min_rounds=1)[0])
+        del x, y
+        checks.append((f"set {i}: gamma", gamma_hat, analysis.gamma_analytic(stats), 0.02))
+    for i, stats in enumerate([s(1.0, 1.0, 0.0, 0.0, 2.0, 1.0), s(0.8, 0.9, 0.6, 0.4, 1.5, 1.0),
+                               s(1.0, 1.0, 0.8, 0.8, 2.0, 1.0)]):
+        x, y = analysis.sample_first_round_pairs(stats, n, (*key_prefix, 7200, i))
         rho_hat = analysis.correlation(x, y).real
-        ok &= _check(f"regime {i}: rho1", rho_hat, analysis.rho1_analytic(stats), 0.02)
-
-    print("loop-back correlation and error power: sample estimates vs closed forms")
-    stats = analysis.ModelStats(0.9, 0.9, 0.5, 0.5, 1.2, 0.9)
-    x, y = analysis.sample_loopback_pairs(stats, n, 7300)
-    ok &= _check("rho2", analysis.correlation(x, y).real, analysis.rho2_analytic(stats), 0.03)
+        del x, y
+        checks.append((f"regime {i}: rho1", rho_hat, analysis.rho1_analytic(stats), 0.02))
+    stats = s(0.9, 0.9, 0.5, 0.5, 1.2, 0.9)
+    x, y = analysis.sample_loopback_pairs(stats, n, (*key_prefix, 7300))
+    checks.append(("rho2", analysis.correlation(x, y).real, analysis.rho2_analytic(stats), 0.03))
     gamma_star = analysis.gamma_analytic(stats)
-    mse_hat = analysis.empirical_mse(gamma_star * x, y).mse
+    x *= gamma_star  # the prediction, in place: the same bits as the product gamma_star * x
     want = analysis.mse_prediction(gamma_star, stats)
-    ok &= _check("error power at the optimum", mse_hat, want, 0.03 * want)
+    checks.append(("error power at the optimum", analysis.empirical_mse(x, y).mse, want, 0.03 * want))
+    return checks
 
+
+def _cmd_oracle(args) -> int:
+    """Print `oracle_checks` and the overall verdict."""
+    ok = True
+    for name, got, want, tol in oracle_checks(args.samples):
+        passed = abs(got - want) <= tol
+        ok &= passed
+        print(f"  [{'PASS' if passed else 'FAIL'}] {name}: got {got:.5f}, expected {want:.5f} (tol {tol:g})")
     print("overall:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -116,7 +114,7 @@ def main(argv=None) -> int:
     sim = sub.add_parser("simulate", help="run a sweep preset and write a CSV")
     sim.add_argument("--config", default=None, help="configuration file (defaults apply if omitted)")
     sim.add_argument("--preset", default="custom", choices=PRESET_NAMES)
-    sim.add_argument("--output", required=True, help="CSV output path")
+    sim.add_argument("--output", type=_output_path, required=True, help="CSV output path")
     sim.add_argument("--seed", type=int, default=None, help="master seed override")
     sim.add_argument("--trials", type=int, default=None, help="trials per cell override")
     sim.add_argument("--jobs", type=int, default=None, help="worker thread count")

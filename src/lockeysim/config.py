@@ -141,13 +141,15 @@ class ExperimentConfig:
 
 
 def _flatten(mapping, prefix=""):
+    """Dotted keys of a nested mapping; a key given both nested and dotted is an error."""
     flat = {}
     for key, value in mapping.items():
         name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            flat.update(_flatten(value, prefix=f"{name}."))
-        else:
-            flat[name] = value
+        entries = _flatten(value, f"{name}.") if isinstance(value, dict) else {name: value}
+        for dotted, leaf in entries.items():
+            if dotted in flat:
+                raise ConfigError(f"{dotted}: given both nested and dotted")
+            flat[dotted] = leaf
     return flat
 
 

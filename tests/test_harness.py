@@ -83,6 +83,15 @@ class TestLoadConfig:
         assert config.n_units_grid == (12,)
         assert config.attacked_grid == (3,)
 
+    @pytest.mark.parametrize("text", ["harness:\n  trials: 5\nharness.trials: 10\n",
+                                      "harness.trials: 10\nharness:\n  trials: 5\n"],
+                             ids=["nested_first", "dotted_first"])
+    def test_key_given_nested_and_dotted_named(self, text, tmp_path):
+        path = tmp_path / "both.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="harness.trials: given both nested and dotted"):
+            load_config(str(path))
+
     def test_attack_exceeding_units_names_both_keys(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("harness.attacked_grid: [40]\nharness.n_units_grid: [30]\n")

@@ -129,11 +129,12 @@ def make_fading_process(profile: TapProfile, stream: Stream, trials: Optional[in
     return gains
 
 
-def _finite_freqs(subcarrier_freqs) -> tuple:
-    freqs = np.asarray(subcarrier_freqs, dtype=float)
-    if not np.all(np.isfinite(freqs)):
-        raise ValueError("subcarrier frequencies must be finite")
-    return tuple(freqs.ravel())
+def _grid(subcarrier_freqs) -> tuple:
+    """A frequency grid as the tuple the response caches are keyed by.  A
+    tuple, such as ``OfdmConfig``'s cached pilot grid, is used as it is."""
+    if type(subcarrier_freqs) is tuple:
+        return subcarrier_freqs
+    return tuple(np.asarray(subcarrier_freqs, dtype=float).ravel().tolist())
 
 
 @functools.lru_cache(maxsize=64)
@@ -141,8 +142,13 @@ def _steering(profile: TapProfile, freqs: tuple) -> np.ndarray:
     """Read-only ``(n_taps, n_freqs)`` phase ramps ``exp(-2j*pi*f*delay)``.
 
     Cached by value: a profile and a frequency grid are constants of a
-    configuration, and equal values share one matrix.
+    configuration, and equal values share one matrix.  A grid is checked
+    for finite frequencies when its matrix is built, so every grid is
+    checked once and a non-finite one, never cached, is rejected each time.
     """
+    freqs = np.asarray(freqs, dtype=float)
+    if not np.all(np.isfinite(freqs)):
+        raise ValueError("subcarrier frequencies must be finite")
     steering = np.exp(-2j * np.pi * np.outer(profile.delays_s, freqs))
     steering.setflags(write=False)
     return steering
@@ -154,7 +160,7 @@ def frequency_response(profile: TapProfile, gains, subcarrier_freqs) -> np.ndarr
 
     The response at frequency f is ``sum_l gain_l * exp(-2j*pi*f*delay_l)``.
     """
-    steering = _steering(profile, _finite_freqs(subcarrier_freqs))
+    steering = _steering(profile, _grid(subcarrier_freqs))
     gains = np.asarray(gains)
     if gains.shape[-1:] != (profile.n_taps,):
         raise ValueError(f"gains of shape {gains.shape} do not hold the profile's {profile.n_taps} taps")
@@ -176,7 +182,7 @@ def fingerprint_response(profile: TapProfile, subcarrier_freqs) -> np.ndarray:
     device and transmission direction; it never varies with simulation time.
     It is cached by value like the steering matrix and returned read-only.
     """
-    return _fingerprint(profile, _finite_freqs(subcarrier_freqs))
+    return _fingerprint(profile, _grid(subcarrier_freqs))
 
 
 @functools.lru_cache(maxsize=64)

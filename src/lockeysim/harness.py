@@ -8,6 +8,16 @@ streams from the master seed and the point's own parameters, never from its
 position in the sweep or from the schemes configured, so results are
 reproducible bit-for-bit regardless of worker count and unaffected by
 adding or removing other points or schemes.
+
+A point's rows are scored in one quantization pass.  The configured schemes
+read at most five distinct key-source blocks: the first-slot pair, Alice's
+loop-back product, Alice's compensated product, and Bob's loop-back
+product, which the loopback and lockey rows share.  Their magnitudes form
+one ``(trials, blocks, pilots)`` stack, quantized by one `compute_thresholds`
+and one `quantize_gray2` call, column by column as each block alone would
+be; each row takes its two blocks' bits, and its error-power normaliser
+from Bob's magnitudes.  Correlation and error power are computed per row
+from the row's own pair.
 """
 
 from __future__ import annotations
@@ -108,27 +118,50 @@ def model_stats_for_cell(config: ExperimentConfig, snr_db: float, n_units: int) 
     )
 
 
-def _quantize_block(values: np.ndarray) -> np.ndarray:
-    """Gray-coded bits of a (trials, subcarriers) block of estimates.
+def _quantize_blocks(magnitudes: np.ndarray):
+    """Gray-coded bits of a ``(trials, blocks, subcarriers)`` stack of
+    estimate magnitudes, as a ``(trials, blocks, 2 * subcarriers)`` array,
+    and the `DegenerateSampleError` of each block whose quartiles tie, by
+    block index.
 
-    Each subcarrier column is one measurement block: it is quantized against
-    its own quartile thresholds, so fixed per-subcarrier gains (hardware
-    filters) cannot misalign the two parties' quantization cells.
+    Each subcarrier column of each block is quantized against its own
+    quartile thresholds, so fixed per-subcarrier gains (hardware filters)
+    cannot misalign the two parties' quantization cells.  The stack takes
+    one threshold call and one quantizer call; only if that threshold call
+    finds a tie is each block quantized on its own, to tell which blocks
+    hold it.
     """
-    magnitudes = np.abs(values)
-    return keygen.quantize_gray2(magnitudes, keygen.compute_thresholds(magnitudes))
+    trials, count = magnitudes.shape[:2]
+    try:
+        thresholds = keygen.compute_thresholds(magnitudes)
+    except analysis.DegenerateSampleError:
+        pass
+    else:
+        return keygen.quantize_gray2(magnitudes, thresholds).reshape(trials, count, -1), {}
+    bits = np.zeros((trials, count, 2 * magnitudes.shape[2]), dtype=np.uint8)
+    errors = {}
+    for i in range(count):
+        try:
+            thresholds = keygen.compute_thresholds(magnitudes[:, i])
+        except analysis.DegenerateSampleError as exc:
+            errors[i] = exc
+        else:
+            bits[:, i] = keygen.quantize_gray2(magnitudes[:, i], thresholds).reshape(trials, -1)
+    return bits, errors
 
 
 def run_cell(config: ExperimentConfig, snr_db: float, n_units: int, attacked: int) -> list:
     """Run all trials of one sweep point and aggregate each configured
     scheme's metrics: one row per scheme, in ``config.schemes`` order.
 
-    All schemes read one shared round.  A degenerate sample block becomes a
-    row flagged ``error: ...``: every row of the point when the shared round
-    raised it (a gamma fit), only the scheme's own row when its metrics did.
-    Any other exception is a fault of the program and propagates.  A row
-    whose ``csk_info`` sits at `keygen.INFO_RATE_CAP` keeps its values and
-    is flagged ``capped: ...``.
+    All schemes read one shared round, and the distinct key-source blocks
+    they read are quantized together (see the module docstring).  A
+    degenerate sample block becomes a row flagged ``error: ...``: every row
+    of the point when the shared round raised it (a gamma fit), only the
+    rows that read a block when that block's quartiles tie, and only the
+    scheme's own row when its other metrics did.  Any other exception is a
+    fault of the program and propagates.  A row whose ``csk_info`` sits at
+    `keygen.INFO_RATE_CAP` keeps its values and is flagged ``capped: ...``.
     """
     try:
         gamma = None
@@ -139,10 +172,20 @@ def run_cell(config: ExperimentConfig, snr_db: float, n_units: int, attacked: in
     except analysis.DegenerateSampleError as exc:  # record, never drop silently
         return [_flagged_row(config, scheme, snr_db, n_units, attacked, exc) for scheme in config.schemes]
     stats = model_stats_for_cell(config, snr_db, n_units)
+    pairs = [sources[scheme] for scheme in config.schemes]
+    # one entry per array: the loopback and lockey pairs share Bob's block
+    blocks = list({id(block): block for pair in pairs for block in pair}.values())
+    index = {id(block): i for i, block in enumerate(blocks)}
+    magnitudes = np.abs(np.stack(blocks, axis=1))
+    bits, errors = _quantize_blocks(magnitudes)
     rows = []
-    for scheme in config.schemes:
+    for scheme, (alice, bob) in zip(config.schemes, pairs):
+        a, b = index[id(alice)], index[id(bob)]
         try:
-            rows.append(_scheme_row(config, scheme, snr_db, n_units, attacked, *sources[scheme], gamma, stats))
+            if a in errors or b in errors:
+                raise errors.get(a) or errors[b]
+            rows.append(_scheme_row(config, scheme, snr_db, n_units, attacked, alice, bob,
+                                    bits[:, a], bits[:, b], magnitudes[:, b], gamma, stats))
         except analysis.DegenerateSampleError as exc:
             rows.append(_flagged_row(config, scheme, snr_db, n_units, attacked, exc))
     return rows
@@ -157,19 +200,14 @@ def _flagged_row(config, scheme, snr_db, n_units, attacked, exc):
     )
 
 
-def _scheme_row(config, scheme, snr_db, n_units, attacked, alice, bob, gamma, stats):
-    alice_flat = alice.ravel()
-    bob_flat = bob.ravel()
-    rho = abs(analysis.correlation(alice_flat, bob_flat))
+def _scheme_row(config, scheme, snr_db, n_units, attacked, alice, bob, bits_a, bits_b, bob_magnitudes, gamma, stats):
+    rho = abs(analysis.correlation(alice, bob))
     # Normalized error power: the raw squared error of loop-back products is
     # dominated by a few heavy-tailed rounds, normalizing by the reference
     # power makes the column comparable across cells and stable at the
     # configured trial counts.
-    bob_power = float(np.mean(np.abs(bob_flat) ** 2))
-    mse = analysis.empirical_mse(alice_flat, bob_flat).mse / bob_power
-
-    bits_a = _quantize_block(alice)
-    bits_b = _quantize_block(bob)
+    bob_power = float(np.mean(bob_magnitudes ** 2))
+    mse = analysis.empirical_mse(alice, bob).mse / bob_power
     metrics = keygen.csk(rho, bits_a, bits_b)
 
     if scheme is Scheme.NON_LOOPBACK:

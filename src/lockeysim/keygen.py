@@ -4,9 +4,10 @@ Estimate magnitudes are cut into four levels at the empirical quartiles of
 each party's own measurement block and encoded with the 2-bit Gray order
 00, 01, 11, 10, so neighbouring levels differ in exactly one bit and a
 boundary-adjacent measurement costs at most one bit error.  Quartile
-thresholds make quantization invariant to a common scale factor.  A 2-D
-block of ``(trials, subcarriers)`` is quantized column by column, each
-column against its own thresholds.
+thresholds make quantization invariant to a common scale factor.  A block
+of ``(trials, ...)`` samples, such as ``(trials, subcarriers)`` or a
+``(trials, blocks, subcarriers)`` stack, is quantized column by column
+along its first axis, each column against its own thresholds.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ def compute_thresholds(values) -> np.ndarray:
     The percentiles are numpy's ``linear`` method, bit for bit: quartile q
     of n samples lies at position ``q * (n - 1)`` of the sorted block,
     interpolated between its two neighbours, so samples {1,2,3,4} give cut
-    points (1.75, 2.5, 3.25).  A 2-D block gets a ``(3, columns)`` array,
-    the cut points of each column, from one sort of the block.
+    points (1.75, 2.5, 3.25).  A block of shape ``(n, *rest)`` gets a
+    ``(3, *rest)`` array, the cut points of each column along the first
+    axis, from one sort of the block; each column's are those it gets alone.
     """
     values = np.atleast_1d(np.asarray(values, dtype=float))
     n = values.shape[0]
@@ -84,9 +86,10 @@ def quantize_gray2(values, thresholds) -> np.ndarray:
     """Quantize magnitudes into Gray-coded 2-bit words.
 
     `thresholds` are the three strictly increasing level cut points (per
-    column for a 2-D block, as `compute_thresholds` gives them); values map
-    to levels 0..3 and levels to the Gray codes 00, 01, 11, 10.  Returns
-    the ``uint8`` bits in row order, two per value.
+    column for a block of shape ``(n, *rest)``, a ``(3, *rest)`` array as
+    `compute_thresholds` gives it); values map to levels 0..3 and levels to
+    the Gray codes 00, 01, 11, 10.  Returns the ``uint8`` bits in row
+    order, two per value.
     """
     values = np.atleast_1d(np.asarray(values, dtype=float))
     thresholds = np.asarray(thresholds, dtype=float)

@@ -12,6 +12,7 @@ subcarrier, and the subcarriers between the pilots are never simulated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,7 +62,17 @@ class OfdmConfig:
         """Indices of the subcarriers that carry a pilot."""
         return np.arange(0, self.symbol_length, self.pilot_interval)
 
-    @property
+    # The fields are immutable, so the pilot grid is built on first use and
+    # kept on the instance.
+    @functools.cached_property
     def pilot_freqs(self) -> np.ndarray:
-        """Baseband offsets in Hz of the pilot subcarriers, the grid every probe uses."""
-        return self.subcarrier_freqs[self.pilot_positions]
+        """Read-only baseband offsets in Hz of the pilot subcarriers, the grid
+        every probe uses."""
+        freqs = self.subcarrier_freqs[self.pilot_positions]
+        freqs.setflags(write=False)
+        return freqs
+
+    @functools.cached_property
+    def _pilot_grid(self) -> tuple:
+        """`pilot_freqs` as the tuple the `fading` response caches are keyed by."""
+        return tuple(self.pilot_freqs.tolist())

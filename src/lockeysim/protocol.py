@@ -116,7 +116,7 @@ def _exchange(env: Environment, slot: int, probes):
     ``|p|**2 == 1`` the `measured` noise reference, the mean received power
     of the probe, is the same with or without the pilot.
     """
-    freqs = env.ofdm.pilot_freqs
+    freqs = env.ofdm._pilot_grid
     profiles = [env.profiles[link] for link in _SLOT_LINKS]
     gains = (make_fading_process(profile, substream(env.stream, 0, 3 * slot + i), env.trials)
              for i, profile in enumerate(profiles))

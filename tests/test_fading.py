@@ -103,6 +103,22 @@ class TestFrequencyResponse:
         with pytest.raises(ValueError):
             frequency_response(ALICE_BOB_PROFILE, gains, [np.inf])
 
+    @pytest.mark.parametrize("freqs", [(0.0, np.nan), (np.inf,)])
+    def test_rejects_non_finite_tuple_grid_every_time(self, freqs):
+        # a tuple grid is used as the cache key as it is, and still checked
+        gains = make_fading_process(ALICE_BOB_PROFILE, (1,))
+        for response in (lambda: fingerprint_response(ALICE_HF_PROFILE, freqs),
+                         lambda: frequency_response(ALICE_BOB_PROFILE, gains, freqs)):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="finite"):
+                    response()
+
+    def test_tuple_grid_matches_array_grid(self):
+        gains = make_fading_process(ALICE_BOB_PROFILE, (12,), trials=3)
+        freqs = np.arange(13) * 75e3
+        np.testing.assert_array_equal(frequency_response(ALICE_BOB_PROFILE, gains, tuple(freqs.tolist())),
+                                      frequency_response(ALICE_BOB_PROFILE, gains, freqs))
+
     def test_rejects_gains_of_another_tap_count(self):
         gains = make_fading_process(ALICE_HF_PROFILE, (1,), trials=3)
         with pytest.raises(ValueError, match="5 taps"):

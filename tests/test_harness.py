@@ -23,7 +23,7 @@ from lockeysim.harness import (
     sweep_cells,
 )
 from lockeysim.ofdm import OfdmConfig
-from lockeysim.protocol import Scheme
+from lockeysim.protocol import Scheme, run_round
 
 
 #: SNR grid whose subsets and orderings the cell-independence test sweeps.
@@ -379,6 +379,56 @@ class TestMetricsColumns:
         (row,) = run_cell(tiny_config(**{"harness.schemes": ["loopback"]}), 10.0, 30, 5)
         assert row.flag.startswith("error: degenerate")
         assert math.isnan(row.rho_empirical)
+
+    @pytest.mark.parametrize("schemes, blocks", [
+        (["lockey"], 2), (["loopback", "lockey"], 3), (["non_loopback", "loopback", "lockey"], 5),
+    ], ids=["lockey", "loopback-lockey", "all"])
+    def test_point_quantizes_each_distinct_block_once(self, monkeypatch, schemes, blocks):
+        # the loopback and lockey rows read one Bob block, which is quantized
+        # once, in the point's single threshold and quantizer call
+        from lockeysim import harness
+
+        calls = []
+        for name in ("compute_thresholds", "quantize_gray2"):
+            def recording(values, *rest, real=getattr(harness.keygen, name), name=name):
+                calls.append((name, np.shape(values)))
+                return real(values, *rest)
+
+            monkeypatch.setattr(harness.keygen, name, recording)
+        rows = run_cell(tiny_config(**{"harness.schemes": schemes}), 10.0, 30, 5)
+        assert not any(row.flag for row in rows)
+        assert calls == [("compute_thresholds", (8, blocks, 13)), ("quantize_gray2", (8, blocks, 13))]
+
+    @pytest.mark.parametrize("tied, flagged", [
+        ("alice_lockey", {"lockey"}), ("bob_loopback", {"loopback", "lockey"}),
+    ])
+    def test_tied_block_flags_the_rows_that_read_it(self, monkeypatch, tied, flagged):
+        # a constant-magnitude block ties every quartile of its columns; the
+        # rows that read another block keep the values they have without it
+        from lockeysim import harness
+
+        def with_tied_block(env, gamma):
+            sources, gamma = run_round(env, gamma)
+            (alice, bob), lockey_alice = sources[Scheme.LOOPBACK], sources[Scheme.LOCKEY][0]
+            # magnitude 3 exactly, at phases whose sines and cosines are exact
+            block = 3.0 * np.array([1.0, 1j, -1.0, -1j])[np.random.default_rng(5).integers(4, size=bob.shape)]
+            if tied == "alice_lockey":
+                sources[Scheme.LOCKEY] = (block, bob)
+            else:
+                sources[Scheme.LOOPBACK], sources[Scheme.LOCKEY] = (alice, block), (lockey_alice, block)
+            return sources, gamma
+
+        config = tiny_config()
+        clean = run_cell(config, 10.0, 30, 5)
+        monkeypatch.setattr(harness, "run_round", with_tied_block)
+        rows = run_cell(config, 10.0, 30, 5)
+        for row, before in zip(rows, clean):
+            if row.scheme in flagged:
+                assert row.flag == "error: degenerate sample block: quartile thresholds are not distinct"
+                assert math.isnan(row.rho_empirical) and math.isnan(row.kdr)
+            else:
+                assert row == before
+        assert {row.scheme for row in rows if row.flag} == flagged
 
     @pytest.mark.parametrize("mode, seam, message", [
         ("round", "run_round", "degenerate round: all-zero reference values"),

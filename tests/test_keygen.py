@@ -64,6 +64,21 @@ class TestThresholds:
                 expected = quantize_gray2(column, compute_thresholds(column))
                 np.testing.assert_array_equal(bits[:, j, :].ravel(), expected)
 
+    def test_stacked_blocks_match_block_loop(self):
+        # a (trials, blocks, subcarriers) stack gives each block the
+        # thresholds and the bits, bit for bit, of the block quantized alone
+        rng = np.random.default_rng(8)
+        for trials in (4, 5, 50, 1000):
+            stack = rng.rayleigh(size=(trials, 5, 13)) * rng.uniform(0.1, 10.0, size=(5, 13))
+            thresholds = compute_thresholds(stack)
+            assert thresholds.shape == (3, 5, 13)
+            bits = quantize_gray2(stack, thresholds).reshape(trials, 5, 26)
+            for b in range(5):
+                block = np.ascontiguousarray(stack[:, b])
+                alone = compute_thresholds(block)
+                np.testing.assert_array_equal(thresholds[:, b].view(np.uint64), alone.view(np.uint64))
+                np.testing.assert_array_equal(bits[:, b].ravel(), quantize_gray2(block, alone))
+
     def test_rejects_block_with_one_constant_column(self):
         block = np.random.default_rng(7).rayleigh(size=(100, 4))
         block[:, 2] = 1.0

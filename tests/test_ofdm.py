@@ -33,3 +33,12 @@ class TestOfdmConfig:
         np.testing.assert_array_equal(config.pilot_freqs, config.subcarrier_freqs[config.pilot_positions])
         assert len(config.pilot_freqs) == PILOTS == 13
         assert config.pilot_freqs[1] == 75e3
+
+    def test_pilot_grid_built_once_and_read_only(self, config):
+        # the grid is a constant of the frozen waveform, shared by every probe
+        freqs = config.pilot_freqs
+        assert config.pilot_freqs is freqs and not freqs.flags.writeable
+        assert config._pilot_grid is config._pilot_grid
+        assert config._pilot_grid == tuple(freqs.tolist())
+        other = OfdmConfig(pilot_interval=4)
+        assert len(other.pilot_freqs) == 16 and other == OfdmConfig(pilot_interval=4)

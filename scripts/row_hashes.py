@@ -5,6 +5,9 @@ One line per run, ``<name> <first 16 hex digits of sha256>``:
 - the CSV of ``lockeysim simulate`` for the fig5a, fig5b and fig5d presets
   at seed 0 with ``--trials`` trials (default 1,000);
 - the fig5a CSV at seed 3 with twice that many trials;
+- the fig5b CSV at seed 0 with ``--trials`` trials and the prediction
+  scalar trained on a window (``protocol.gamma_mode: window``, set in a
+  temporary configuration file);
 - the standard output of ``lockeysim oracle --samples <--samples>``
   (default 1,000,000).
 
@@ -43,14 +46,17 @@ def _cli_output(argv) -> bytes:
 
 def row_hashes(trials: int, samples: int, jobs: int) -> list:
     """``[(name, hash)]`` of the runs listed in the module docstring."""
-    runs = [(f"{preset} --seed 0 --trials {trials}", preset, 0, trials) for preset in ("fig5a", "fig5b", "fig5d")]
-    runs.append((f"fig5a --seed 3 --trials {2 * trials}", "fig5a", 3, 2 * trials))
     hashes = []
     with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / "rows.csv"
-        for name, preset, seed, count in runs:
+        window = Path(tmp) / "window.yaml"
+        window.write_text("protocol.gamma_mode: window\n")
+        runs = [(f"{preset} --seed 0 --trials {trials}", preset, 0, trials, []) for preset in ("fig5a", "fig5b", "fig5d")]
+        runs.append((f"fig5a --seed 3 --trials {2 * trials}", "fig5a", 3, 2 * trials, []))
+        runs.append((f"fig5b --seed 0 --trials {trials} window", "fig5b", 0, trials, ["--config", str(window)]))
+        for name, preset, seed, count, extra in runs:
             _cli_output(["simulate", "--preset", preset, "--seed", str(seed), "--trials", str(count),
-                         "--jobs", str(jobs), "--output", str(csv)])
+                         "--jobs", str(jobs), "--output", str(csv), *extra])
             hashes.append((name, _digest(csv.read_bytes())))
     hashes.append((f"oracle --samples {samples}", _digest(_cli_output(["oracle", "--samples", str(samples)]))))
     return hashes
@@ -67,4 +73,4 @@ def parse_args(argv=None):
 if __name__ == "__main__":
     args = parse_args()
     for name, digest in row_hashes(args.trials, args.samples, args.jobs):
-        print(f"{name:34s} {digest}")
+        print(f"{name:36s} {digest}")

@@ -12,7 +12,9 @@ little-endian 32-bit words (a component of 0 is one word), as a ``uint32``
 array.  That is the array numpy itself builds from a tuple key, so the
 entropy pool, and every draw, is the one ``default_rng(SeedSequence(key))``
 gives; building it here only skips numpy's per-component conversion, which
-took most of the cost of a Generator.
+took most of the cost of a Generator.  A key whose components each fit in
+one word is that array already and goes to ``np.array`` as it is; only a
+key that overflows ``uint32`` (a wide or a negative component) is split.
 
 Sub-streams are derived with :func:`substream` by appending indices to the
 key tuple.  This never mutates parent state, so the same key always yields
@@ -91,5 +93,9 @@ def _words(key: tuple) -> list:
 
 def as_rng(stream) -> np.random.Generator:
     """Materialize a stream identifier into a numpy Generator."""
-    entropy = np.array(_words(_as_key(stream)), dtype=np.uint32)
+    key = _as_key(stream)
+    try:
+        entropy = np.array(key, dtype=np.uint32)
+    except OverflowError:
+        entropy = np.array(_words(key), dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

@@ -16,8 +16,8 @@ product, which the loopback and lockey rows share.  Their magnitudes form
 one ``(trials, blocks, pilots)`` stack, quantized by one `compute_thresholds`
 and one `quantize_gray2` call, column by column as each block alone would
 be; each row takes its two blocks' bits, and its error-power normaliser
-from Bob's magnitudes.  Correlation and error power are computed per row
-from the row's own pair.
+from Bob's magnitudes, once per distinct Bob block.  Correlation and error
+power are computed per row from the row's own pair.
 """
 
 from __future__ import annotations
@@ -178,6 +178,7 @@ def run_cell(config: ExperimentConfig, snr_db: float, n_units: int, attacked: in
     index = {id(block): i for i, block in enumerate(blocks)}
     magnitudes = np.abs(np.stack(blocks, axis=1))
     bits, errors = _quantize_blocks(magnitudes)
+    bob_powers = {b: float(np.mean(magnitudes[:, b] ** 2)) for b in {index[id(bob)] for _, bob in pairs}}
     rows = []
     for scheme, (alice, bob) in zip(config.schemes, pairs):
         a, b = index[id(alice)], index[id(bob)]
@@ -185,7 +186,7 @@ def run_cell(config: ExperimentConfig, snr_db: float, n_units: int, attacked: in
             if a in errors or b in errors:
                 raise errors.get(a) or errors[b]
             rows.append(_scheme_row(config, scheme, snr_db, n_units, attacked, alice, bob,
-                                    bits[:, a], bits[:, b], magnitudes[:, b], gamma, stats))
+                                    bits[:, a], bits[:, b], bob_powers[b], gamma, stats))
         except analysis.DegenerateSampleError as exc:
             rows.append(_flagged_row(config, scheme, snr_db, n_units, attacked, exc))
     return rows
@@ -200,13 +201,12 @@ def _flagged_row(config, scheme, snr_db, n_units, attacked, exc):
     )
 
 
-def _scheme_row(config, scheme, snr_db, n_units, attacked, alice, bob, bits_a, bits_b, bob_magnitudes, gamma, stats):
+def _scheme_row(config, scheme, snr_db, n_units, attacked, alice, bob, bits_a, bits_b, bob_power, gamma, stats):
     rho = abs(analysis.correlation(alice, bob))
     # Normalized error power: the raw squared error of loop-back products is
     # dominated by a few heavy-tailed rounds, normalizing by the reference
-    # power makes the column comparable across cells and stable at the
-    # configured trial counts.
-    bob_power = float(np.mean(bob_magnitudes ** 2))
+    # power (Bob's mean squared magnitude) makes the column comparable across
+    # cells and stable at the configured trial counts.
     mse = analysis.empirical_mse(alice, bob).mse / bob_power
     metrics = keygen.csk(rho, bits_a, bits_b)
 

@@ -3,7 +3,9 @@
 Estimate magnitudes are cut into four levels at the empirical quartiles of
 each party's own measurement block and encoded with the 2-bit Gray order
 00, 01, 11, 10, so neighbouring levels differ in exactly one bit and a
-boundary-adjacent measurement costs at most one bit error.  Quartile
+boundary-adjacent measurement costs at most one bit error.  With cut
+points t0 < t1 < t2 a value v's two bits are ``v >= t1`` and ``(v >= t0)
+!= (v >= t2)``: three comparisons, no level count.  Quartile
 thresholds make quantization invariant to a common scale factor.  A block
 of ``(trials, ...)`` samples, such as ``(trials, subcarriers)`` or a
 ``(trials, blocks, subcarriers)`` stack, is quantized column by column
@@ -19,7 +21,7 @@ import numpy as np
 
 from .analysis import DegenerateSampleError
 
-#: Gray code of each quantization level, as constant bit pairs.
+#: Gray code of each quantization level, as bit pairs (`quantize_gray2` compares).
 GRAY2_CODES = ((0, 0), (0, 1), (1, 1), (1, 0))
 
 #: Cap on the information-rate estimate when correlation reaches 1.
@@ -88,8 +90,9 @@ def quantize_gray2(values, thresholds) -> np.ndarray:
     `thresholds` are the three strictly increasing level cut points (per
     column for a block of shape ``(n, *rest)``, a ``(3, *rest)`` array as
     `compute_thresholds` gives it); values map to levels 0..3 and levels to
-    the Gray codes 00, 01, 11, 10.  Returns the ``uint8`` bits in row
-    order, two per value.
+    the Gray codes of `GRAY2_CODES`, written as the comparisons ``v >= t1``
+    and ``(v >= t0) != (v >= t2)`` (a NaN value gets level 0's code).
+    Returns the ``uint8`` bits in row order, two per value.
     """
     values = np.atleast_1d(np.asarray(values, dtype=float))
     thresholds = np.asarray(thresholds, dtype=float)
@@ -97,9 +100,10 @@ def quantize_gray2(values, thresholds) -> np.ndarray:
         raise ValueError("exactly 3 thresholds required per column")
     if not _increasing(thresholds):
         raise ValueError("thresholds must be strictly increasing")
-    levels = np.sum(values >= thresholds[:, None], axis=0)
-    codes = np.asarray(GRAY2_CODES, dtype=np.uint8)
-    return codes[levels].ravel()
+    bits = np.empty((*values.shape, 2), dtype=np.uint8)
+    np.greater_equal(values, thresholds[1], out=bits[..., 0])
+    np.not_equal(values >= thresholds[0], values >= thresholds[2], out=bits[..., 1])
+    return bits.ravel()
 
 
 def _disagreeing(bits_a, bits_b) -> tuple:

@@ -19,21 +19,21 @@ import numpy as np
 from ._rng import Stream, as_rng, batch_shape, substream
 
 
-def _phasors(phases: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``exp(1j * phases)`` of a float64 array, which it overwrites, written
-    into the complex array `out` of the same shape when one is given.
+def _phasors(half_angles: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``exp(2j * half_angles)`` of a float64 array, which it overwrites,
+    written into the complex array `out` of the same shape when one is given.
 
-    With ``t = tan(phases / 2)`` the phasor is ``(1 - t**2 + 2j*t) / (1 +
+    With ``t = tan(half_angles)`` the phasor is ``(1 - t**2 + 2j*t) / (1 +
     t**2)``, formed as real part ``2 / (1 + t**2) - 1`` and imaginary part
     ``t * 2 / (1 + t**2)``.  NumPy's float64 ``tan`` is vectorized where
     ``cos`` and ``sin`` are scalar libm calls, so this costs about a fifth
     of writing both, while the result stays within 4 eps of
-    ``exp(1j * phases)`` in value and in modulus, also at phases 0 and pi.
-    `phases` is overwritten with ``t``: every caller drops the draw once it
-    has its phasors, so the only allocation is the complex output, and
-    none with `out`.
+    ``exp(2j * half_angles)`` in value and in modulus, also at half-angles 0
+    and pi/2.  `half_angles` is overwritten with ``t``: every caller drops
+    the draw once it has its phasors, so the only allocation is the complex
+    output, and none with `out`.
     """
-    t = np.tan(np.multiply(phases, 0.5, out=phases), out=phases)
+    t = np.tan(half_angles, out=half_angles)
     phasors = np.empty(t.shape, dtype=complex) if out is None else out
     scale = phasors.real
     np.multiply(t, t, out=scale)
@@ -45,8 +45,9 @@ def _phasors(phases: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray
 
 
 def _unit_phasors(rng, shape) -> np.ndarray:
-    """Unit phasors of one ``uniform(0, 2*pi, shape)`` phase draw from `rng`."""
-    return _phasors(rng.uniform(0.0, 2.0 * np.pi, shape))
+    """Unit phasors of uniform phases from `rng`, drawn as ``uniform(0, pi,
+    shape)`` half-angles: exactly the halves of ``uniform(0, 2*pi, shape)``."""
+    return _phasors(rng.uniform(0.0, np.pi, shape))
 
 
 def surface_aggregates(n_units: int, attacked: int, stream: Stream, trials: Optional[int] = None):
@@ -71,5 +72,6 @@ def surface_aggregates(n_units: int, attacked: int, stream: Stream, trials: Opti
         return phi_first, phi_first
     rng = as_rng(substream(stream, 1))
     units = np.argsort(rng.random(phasors.shape), axis=-1)[..., :attacked]
-    np.put_along_axis(phasors, units, _unit_phasors(rng, units.shape), axis=-1)
+    index = units if trials is None else (np.arange(trials)[:, None], units)
+    phasors[index] = _unit_phasors(rng, units.shape)
     return phi_first, np.sum(phasors, axis=-1)

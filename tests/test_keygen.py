@@ -150,6 +150,22 @@ class TestQuantize:
         b = quantize_gray2(scaled, compute_thresholds(scaled))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("shape", [(50,), (50, 13), (50, 5, 13), (1000, 5, 13)])
+    def test_matches_level_count_reference(self, shape):
+        # the comparison form writes the bits of the documented table,
+        # including for NaN values and values sitting exactly on a cut point
+        values = np.random.default_rng(sum(shape)).rayleigh(size=shape)
+        thresholds = compute_thresholds(values)
+        flat = values.reshape(shape[0], -1)
+        flat[:3] = thresholds.reshape(3, -1)
+        flat[3:6] = np.nextafter(thresholds.reshape(3, -1), -np.inf)
+        flat[6] = np.nan
+        reference = np.asarray(GRAY2_CODES, dtype=np.uint8)[np.sum(values >= thresholds[:, None], axis=0)]
+        bits = quantize_gray2(values, thresholds)
+        assert bits.dtype == np.uint8
+        np.testing.assert_array_equal(bits, reference.ravel())
+        assert set(map(tuple, bits.reshape(-1, 2)[: 6 * flat.shape[1]])) == set(GRAY2_CODES)
+
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ValueError):
             quantize_gray2(np.ones(4), np.array([1.0, 1.0, 2.0]))

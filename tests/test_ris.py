@@ -27,13 +27,34 @@ def phasor_sum(phases):
     return np.sum(np.exp(1j * phases), axis=-1)
 
 
+def full_angle_aggregates(n_units, attacked, stream, trials=None):
+    """The aggregates of the full-angle draw: ``uniform(0, 2*pi)`` phases,
+    halved, turned into tangent phasors, the attacked units' fresh phasors
+    written with `np.put_along_axis`."""
+    def phasors(phases):
+        t = np.tan(phases * 0.5)
+        scale = 2.0 / (t * t + 1.0)
+        out = np.empty(t.shape, dtype=complex)
+        out.real, out.imag = scale - 1.0, t * scale
+        return out
+
+    first = phasors(as_rng(substream(stream, 0)).uniform(0.0, 2.0 * np.pi, size=batch_shape(trials, n_units)))
+    phi_first = np.sum(first, axis=-1)
+    if attacked == 0:
+        return phi_first, phi_first
+    rng = as_rng(substream(stream, 1))
+    units = np.argsort(rng.random(first.shape), axis=-1)[..., :attacked]
+    np.put_along_axis(first, units, phasors(rng.uniform(0.0, 2.0 * np.pi, size=units.shape)), axis=-1)
+    return phi_first, np.sum(first, axis=-1)
+
+
 class TestPhasors:
     """The half-angle helper behind every unit phasor of the package."""
 
     def test_matches_complex_exponential(self):
         edges = [0.0, np.nextafter(np.pi, 0.0), np.pi, np.nextafter(2.0 * np.pi, 0.0)]
         phases = np.concatenate([np.random.default_rng(40).uniform(0.0, 2.0 * np.pi, 1_000_000), edges])
-        phasors = ris._phasors(phases.copy())
+        phasors = ris._phasors(phases * 0.5)
         assert phasors.dtype == complex and phasors.shape == phases.shape
         assert np.max(np.abs(phasors - np.exp(1j * phases))) <= 4 * EPS
         assert np.max(np.abs(np.abs(phasors) - 1.0)) <= 4 * EPS
@@ -43,8 +64,8 @@ class TestPhasors:
         edges = [0.0, np.pi, np.nextafter(2.0 * np.pi, 0.0)]
         phases = np.concatenate([np.random.default_rng(41).uniform(0.0, 2.0 * np.pi, 1_000), edges])
         out = np.empty(phases.shape, dtype=complex)
-        assert ris._phasors(phases.copy(), out) is out
-        assert np.array_equal(out, ris._phasors(phases.copy()))
+        assert ris._phasors(phases * 0.5, out) is out
+        assert np.array_equal(out, ris._phasors(phases * 0.5))
 
 
 class TestRisState:
@@ -95,6 +116,15 @@ class TestAggregatePhase:
         for i in range(50):
             for phi in surface_aggregates(30, 10, (8, i)):
                 assert abs(phi) <= 30 + 1e-12
+
+    @pytest.mark.parametrize("trials", [None, 1, 50, 200])
+    @pytest.mark.parametrize("attacked", [0, 1, 5, 30])
+    def test_bitwise_equal_to_full_angle_draw(self, trials, attacked):
+        # half-angle draws and indexed writes keep every bit of the aggregates
+        got = surface_aggregates(30, attacked, (11, attacked), trials)
+        for phi, expected in zip(got, full_angle_aggregates(30, attacked, (11, attacked), trials)):
+            assert np.shape(phi) == batch_shape(trials)
+            assert np.asarray(phi).tobytes() == np.asarray(expected).tobytes()
 
     def test_batch_equals_complex_exponential_sum(self):
         # each of the 30 half-angle phasors lies within 4 eps of exp(1j * phase)

@@ -19,8 +19,9 @@ def test_one_hash_per_run_and_the_same_for_any_job_count(monkeypatch, capsys, tm
     monkeypatch.chdir(tmp_path)
     args = ("--trials", "4", "--samples", "10000")
     lines = run_script(monkeypatch, capsys, *args, "--jobs", "1").splitlines()
-    assert [line.split()[0] for line in lines] == ["fig5a", "fig5b", "fig5d", "fig5a", "oracle"]
-    assert "--seed 3 --trials 8" in lines[3] and "--samples 10000" in lines[4]
+    assert [line.split()[0] for line in lines] == ["fig5a", "fig5b", "fig5d", "fig5a", "fig5b", "oracle"]
+    assert "--seed 3 --trials 8" in lines[3] and "--samples 10000" in lines[5]
+    assert "--seed 0 --trials 4 window" in lines[4] and lines[4].split()[-1] != lines[1].split()[-1]
     assert all(re.fullmatch(r".+ [0-9a-f]{16}", line) for line in lines)
     assert run_script(monkeypatch, capsys, *args, "--jobs", "2").splitlines() == lines
     assert list(tmp_path.iterdir()) == []

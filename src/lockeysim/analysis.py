@@ -215,10 +215,12 @@ def empirical_mse(predicted, actual) -> PredictionError:
 # A sampler fills its output in blocks of SAMPLE_BLOCK samples.  Block i
 # draws from its own sub-stream ``(stream, i)``, so the values depend only on
 # the stream key and the sample count, never on how many threads fill the
-# blocks.  Every block's Generator is built on the calling thread before any
-# block is handed out; the pool threads run only the private helpers below
-# and numpy, which releases the interpreter lock for the draws and the
-# arithmetic.
+# blocks.  The outputs, then every block's Generator, are built on the
+# calling thread before any block is handed out; one task per pool thread
+# fills every `workers`-th block with the private helpers below and numpy,
+# which releases the interpreter lock for the draws and the arithmetic.  So
+# the call's small allocations (Generators, a future per task, not per block)
+# cannot split the heap gap that earlier outputs left: peak memory is steady.
 # ---------------------------------------------------------------------------
 
 #: Samples per sampler block.  A block's temporaries are three complex
@@ -241,21 +243,23 @@ def _fill_blocks(n: int, stream: Stream, fill):
     """Complex arrays ``x, y`` of `n` samples, filled block by block.
 
     ``fill(rng, x_block, y_block)`` writes one block from that block's own
-    Generator.  `run_indexed` runs the blocks, one thread per CPU this
-    process may use, capped at the block count.
+    Generator.  `run_indexed` runs one task per thread, one thread per CPU
+    this process may use, capped at the block count.
     """
     if n < 0:
         raise ValueError(f"need a sample count >= 0, got {n}")
     starts = range(0, n, SAMPLE_BLOCK)
-    rngs = [as_rng(substream(stream, i)) for i in range(len(starts))]
     x = np.empty(n, dtype=complex)
     y = np.empty(n, dtype=complex)
+    rngs = [as_rng(substream(stream, i)) for i in range(len(starts))]
+    workers = max(1, min(_cpu_count(), len(starts)))
 
-    def run(i):
-        block = slice(starts[i], starts[i] + SAMPLE_BLOCK)
-        fill(rngs[i], x[block], y[block])
+    def run(w):
+        for i in range(w, len(starts), workers):
+            block = slice(starts[i], starts[i] + SAMPLE_BLOCK)
+            fill(rngs[i], x[block], y[block])
 
-    run_indexed(run, len(starts), _cpu_count())
+    run_indexed(run, workers, workers)
     return x, y
 
 

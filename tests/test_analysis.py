@@ -514,6 +514,17 @@ class TestBlockSampler:
         for other in draws[1:]:
             assert all(np.array_equal(a, b) for a, b in zip(draws[0], other))
 
+    @pytest.mark.parametrize("cpus, n, tasks", [(2, 3 * B + 7, 2), (3, B + 1, 2), (2, 1, 1), (2, 0, 1)])
+    def test_one_pool_task_per_thread(self, monkeypatch, cpus, n, tasks):
+        # a task per block would put a pool future per block on the heap
+        # while the outputs are live; one per thread keeps that fixed
+        calls, run_indexed = [], analysis.run_indexed
+        monkeypatch.setattr(analysis, "run_indexed",
+                            lambda fn, count, workers: calls.append((count, workers)) or run_indexed(fn, count, workers))
+        monkeypatch.setattr(analysis, "_cpu_count", lambda: cpus)
+        self._draw_all(n, 12)
+        assert calls == [(tasks, tasks)] * 3
+
     def test_generators_built_on_the_main_thread(self, monkeypatch):
         built, fill_threads = [], set()
         as_rng, complex_normal = analysis.as_rng, analysis._complex_normal

@@ -23,8 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rng import Stream, as_rng, run_indexed, substream
-from .ris import _unit_phasors
+from ._rng import Stream, _complex_normal, _unit_phasors, as_rng, run_indexed, substream
 
 #: Noise variance assumed by every closed form.
 NOISE_VAR = 1.0
@@ -261,31 +260,6 @@ def _fill_blocks(n: int, stream: Stream, fill):
 
     run_indexed(run, workers, workers)
     return x, y
-
-
-def _complex_normal(rng, var: float, m: int, out=None) -> np.ndarray:
-    """`m` circular complex Gaussians of variance `var`, written into the
-    complex array `out` when one is given.
-
-    Drawn in polar form: the power ``|z|**2`` of such a Gaussian is `var`
-    times a standard exponential E, and its phase is uniform and independent
-    of it.  The amplitude ``r = sqrt(var * E)`` is folded into the half-angle
-    tangent phasor of `ris._phasors`: with ``t = tan(phase / 2)``, ``z = 2r /
-    (1 + t**2) - r + 1j * t * 2r / (1 + t**2)``.  Two float buffers of `m`
-    values, the tangents and the amplitudes, are the only temporaries.
-    """
-    t = rng.random(m)
-    np.tan(np.multiply(t, np.pi, out=t), out=t)
-    r = rng.standard_exponential(m)
-    np.sqrt(np.multiply(r, 4.0 * var, out=r), out=r)
-    z = np.empty(m, dtype=complex) if out is None else out
-    np.multiply(t, t, out=z.real)
-    z.real += 1.0
-    np.divide(r, z.real, out=z.real)
-    np.multiply(t, z.real, out=z.imag)
-    r *= 0.5
-    z.real -= r
-    return z
 
 
 def _filter_coupling(stats: ModelStats) -> float:

@@ -46,6 +46,8 @@ def _cmd_validate(args) -> int:
 
 def _output_path(text: str) -> str:
     """``--output``: a file in an existing directory, checked before the sweep runs."""
+    if not text:
+        raise argparse.ArgumentTypeError("the path is empty")
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"{text} is a directory")
     if not os.path.isdir(os.path.dirname(text) or "."):

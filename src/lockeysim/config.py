@@ -263,11 +263,13 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> Experi
         raise ConfigError(f"configuration file not found: {path}")
     import yaml
 
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             raw = yaml.safe_load(handle)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rng import Stream, as_rng, batch_shape
+from ._rng import Stream, _cartesian_normal, as_rng, batch_shape
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,7 @@ def make_fading_process(profile: TapProfile, stream: Stream, trials: Optional[in
     and trials (`trials` realizations from the one stream).  Deterministic
     for a fixed stream id; an invalid profile is rejected by TapProfile itself.
     """
-    draw = as_rng(stream).standard_normal(batch_shape(trials, profile.n_taps, 2))
-    # (re, im) pairs viewed as complex, scaled in place to the tap powers
-    gains = draw.view(complex)[..., 0]
-    gains *= profile._component_std
-    return gains
+    return _cartesian_normal(as_rng(stream), batch_shape(trials, profile.n_taps), profile._component_std)
 
 
 def _grid(subcarrier_freqs) -> tuple:
@@ -164,14 +160,8 @@ def frequency_response(profile: TapProfile, gains, subcarrier_freqs) -> np.ndarr
     gains = np.asarray(gains)
     if gains.shape[-1:] != (profile.n_taps,):
         raise ValueError(f"gains of shape {gains.shape} do not hold the profile's {profile.n_taps} taps")
-    # The taps are summed one by one instead of as ``gains @ steering``: a
-    # matrix product goes to BLAS, which starts its own threads (doubling
-    # the CPU time of a run for no speed-up) and whose sums can depend on
-    # the thread count.
-    response = gains[..., 0, None] * steering[0]
-    for tap in range(1, profile.n_taps):
-        response += gains[..., tap, None] * steering[tap]
-    return response
+    # Not ``gains @ steering``: einsum without `optimize` calls no BLAS, which starts threads of its own.
+    return np.einsum("...l,lf->...f", gains, steering)
 
 
 def fingerprint_response(profile: TapProfile, subcarrier_freqs) -> np.ndarray:
@@ -219,8 +209,6 @@ def add_awgn(signal, snr_db: Optional[float], stream: Stream, ref_power: Optiona
             raise ValueError("a 0-d signal has no row to measure its power over; pass ref_power")
         ref_power = np.mean(np.abs(signal) ** 2, axis=-1, keepdims=True)
     noise_var = ref_power * 10.0 ** (-snr_db / 10.0)
-    # (re, im) pairs viewed as complex, scaled and shifted in place
-    noise = as_rng(stream).standard_normal((*signal.shape, 2)).view(complex)[..., 0]
-    noise *= np.sqrt(noise_var / 2.0)
+    noise = _cartesian_normal(as_rng(stream), signal.shape, np.sqrt(noise_var / 2.0))
     noise += signal
     return noise

@@ -31,6 +31,17 @@ class TestValidate:
     def test_missing_file_is_an_error(self, capsys):
         assert main(["validate", "--config", "/does/not/exist.yaml"]) == 1
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_file_is_a_config_error_naming_it(self, kind, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"harness.trials: 5  # \xff\xfe\n")
+        assert main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot read {path}" in err and "Traceback" not in err
+
 
 class TestSimulate:
     def test_tiny_sweep_writes_csv(self, tmp_path, capsys):
@@ -107,8 +118,8 @@ class TestSimulate:
         assert "harness.attacked_grid" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("output, message", [("missing_dir/out.csv", "does not exist"), (".", "is a directory")],
-                             ids=["missing_dir", "directory"])
+    @pytest.mark.parametrize("output, message", [("missing_dir/out.csv", "does not exist"), (".", "is a directory"),
+                                                  ("", "is empty")], ids=["missing_dir", "directory", "empty"])
     def test_unwritable_output_rejected_before_running(self, output, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cli, "run_sweep", lambda config: pytest.fail("the sweep ran"))

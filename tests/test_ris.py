@@ -48,26 +48,6 @@ def full_angle_aggregates(n_units, attacked, stream, trials=None):
     return phi_first, np.sum(first, axis=-1)
 
 
-class TestPhasors:
-    """The half-angle helper behind every unit phasor of the package."""
-
-    def test_matches_complex_exponential(self):
-        edges = [0.0, np.nextafter(np.pi, 0.0), np.pi, np.nextafter(2.0 * np.pi, 0.0)]
-        phases = np.concatenate([np.random.default_rng(40).uniform(0.0, 2.0 * np.pi, 1_000_000), edges])
-        phasors = ris._phasors(phases * 0.5)
-        assert phasors.dtype == complex and phasors.shape == phases.shape
-        assert np.max(np.abs(phasors - np.exp(1j * phases))) <= 4 * EPS
-        assert np.max(np.abs(np.abs(phasors) - 1.0)) <= 4 * EPS
-        assert phasors[-4] == 1.0 and phasors[-2].real == -1.0
-
-    def test_writes_into_out(self):
-        edges = [0.0, np.pi, np.nextafter(2.0 * np.pi, 0.0)]
-        phases = np.concatenate([np.random.default_rng(41).uniform(0.0, 2.0 * np.pi, 1_000), edges])
-        out = np.empty(phases.shape, dtype=complex)
-        assert ris._phasors(phases * 0.5, out) is out
-        assert np.array_equal(out, ris._phasors(phases * 0.5))
-
-
 class TestRisState:
     """A surface has at least one unit."""
 

@@ -1,9 +1,14 @@
 """`scripts/row_hashes.py` runs end to end at a tiny trial count."""
 
+import os
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "row_hashes.py"
 
@@ -25,3 +30,15 @@ def test_one_hash_per_run_and_the_same_for_any_job_count(monkeypatch, capsys, tm
     assert all(re.fullmatch(r".+ [0-9a-f]{16}", line) for line in lines)
     assert run_script(monkeypatch, capsys, *args, "--jobs", "2").splitlines() == lines
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_same_hashes_with_the_simd_dispatch_targets_disabled(monkeypatch, capsys, tmp_path):
+    # numpy picks a SIMD kernel per host; the rows must not depend on which
+    targets = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    if not targets:
+        pytest.skip("this host enables none of numpy's SIMD dispatch targets")
+    monkeypatch.chdir(tmp_path)
+    args = ("--trials", "4", "--samples", "10000")
+    disabled = subprocess.run([sys.executable, str(SCRIPT), *args], capture_output=True, text=True, check=True,
+                              env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)})
+    assert disabled.stdout.splitlines() == run_script(monkeypatch, capsys, *args).splitlines()

@@ -9,8 +9,10 @@ configuration.  Validation failures name the offending key.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 from .fading import DEFAULT_PROFILES, TapProfile, _us
@@ -54,20 +56,83 @@ for _link in _LINK_KEYS:
     DEFAULTS[f"channel.{_link}.powers_db"] = None
 
 
+def _integer(value, key, minimum):
+    """`value` as an int >= `minimum`; a bool is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{key}: expected an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _choice(value, key, choices):
+    if value not in choices:
+        raise ConfigError(f"{key}: expected one of {list(choices)}, got {value!r}")
+    return value
+
+
+def _snr(value, key):
+    if not (_is_number(value) and -MAX_SNR_DB <= value <= MAX_SNR_DB):
+        raise ConfigError(f"{key}: expected a number within +-{MAX_SNR_DB:g} dB, got {value!r}")
+    return float(value)
+
+
+def _scheme(value, key):
+    try:
+        return Scheme(value)
+    except ValueError:
+        raise ConfigError(f"{key}: expected one of {[s.value for s in Scheme]}, got {value!r}") from None
+
+
+def _noise_ref(value, key):
+    if not _is_number(value):
+        return _choice(value, key, ("link", "pilot", "measured"))
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{key}: a numeric reference power must be finite and > 0, got {value!r}")
+    return float(value)
+
+
+#: Field, configuration key and check of each single-valued field; a check
+#: returns the value normalized or raises `ConfigError` naming the key.
+_SCALARS = (
+    ("noise_ref_mode", "ofdm.noise_ref", _noise_ref),
+    ("gamma_mode", "protocol.gamma_mode", partial(_choice, choices=GAMMA_MODES)),
+    ("gamma_window", "protocol.gamma_window", partial(_integer, minimum=1)),
+    # four samples per subcarrier column are the fewest the quartile
+    # quantizer can place its thresholds in
+    ("trials", "harness.trials", partial(_integer, minimum=4)),
+    ("master_seed", "harness.master_seed", partial(_integer, minimum=0)),
+    ("jobs", "harness.jobs", partial(_integer, minimum=1)),
+)
+
+#: The same for each list field; the check applies to every entry.
+_LISTS = (
+    ("snr_grid_db", "harness.snr_grid_db", _snr),
+    ("schemes", "harness.schemes", _scheme),
+    ("n_units_grid", "harness.n_units_grid", partial(_integer, minimum=1)),
+    ("attacked_grid", "harness.attacked_grid", partial(_integer, minimum=0)),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully validated experiment description.
 
-    The ranges and choices of the scalar and grid fields, and the rules that
-    tie fields together, are checked here, so a configuration built from a
-    file, from `with_overrides` or from a preset obeys them; a violation
-    raises `ConfigError` naming the dotted key.  The waveform checks its own
-    ranges (`OfdmConfig` raises the same error); the tap profiles, noise
-    reference and schemes are checked where `build_config` parses them.
+    Every field is checked and normalized here, so a configuration built
+    from a file, from CLI overrides, from `with_overrides` or from a preset
+    obeys the same rules; a violation raises `ConfigError` naming the dotted
+    key.  Integers are ints and not bools; each list field is a non-empty
+    list or tuple of distinct entries and is stored as a tuple; a scheme may
+    be given by name and is stored as a `Scheme`; a numeric noise reference
+    is stored as a float.  `profiles` holds a `TapProfile` (which checks its
+    own taps) for each of the five links, and `ofdm` is an `OfdmConfig`
+    (which checks its own fields and raises the same error).
     """
 
     ofdm: OfdmConfig
-    noise_ref_mode: str
+    noise_ref_mode: str | float
     profiles: dict
     gamma_mode: str
     gamma_window: int
@@ -80,31 +145,22 @@ class ExperimentConfig:
     jobs: int
 
     def __post_init__(self):
-        for key, grid in (("harness.snr_grid_db", self.snr_grid_db), ("harness.schemes", self.schemes),
-                          ("harness.n_units_grid", self.n_units_grid),
-                          ("harness.attacked_grid", self.attacked_grid)):
-            if len(grid) == 0:
-                raise ConfigError(f"{key}: expected a non-empty list")
-        for key, values, minimum in (
-            ("protocol.gamma_window", (self.gamma_window,), 1),
-            # four samples per subcarrier column are the fewest the quartile
-            # quantizer can place its thresholds in
-            ("harness.trials", (self.trials,), 4),
-            ("harness.n_units_grid", self.n_units_grid, 1),
-            ("harness.attacked_grid", self.attacked_grid, 0),
-            ("harness.master_seed", (self.master_seed,), 0),
-            ("harness.jobs", (self.jobs,), 1),
-        ):
-            for value in values:
-                if not value >= minimum:
-                    raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
-        if self.gamma_mode not in GAMMA_MODES:
-            raise ConfigError(
-                f"protocol.gamma_mode: expected one of {list(GAMMA_MODES)}, got {self.gamma_mode!r}")
-        for snr_db in self.snr_grid_db:
-            if not -MAX_SNR_DB <= snr_db <= MAX_SNR_DB:
-                raise ConfigError(
-                    f"harness.snr_grid_db: must lie within +-{MAX_SNR_DB:g} dB, got {snr_db}")
+        if not isinstance(self.ofdm, OfdmConfig):
+            raise ConfigError(f"ofdm: expected an OfdmConfig, got {self.ofdm!r}")
+        for link in _LINK_KEYS:
+            profile = self.profiles.get(link) if isinstance(self.profiles, dict) else None
+            if not isinstance(profile, TapProfile):
+                raise ConfigError(f"channel.{link}: expected a TapProfile, got {profile!r}")
+        for field, key, check in _SCALARS:
+            object.__setattr__(self, field, check(getattr(self, field), key))
+        for field, key, check in _LISTS:
+            raw = getattr(self, field)
+            if not isinstance(raw, (list, tuple)) or len(raw) == 0:
+                raise ConfigError(f"{key}: expected a non-empty list, got {raw!r}")
+            values = tuple(check(value, key) for value in raw)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key}: entries must be distinct, got {list(raw)!r}")
+            object.__setattr__(self, field, values)
         if max(self.attacked_grid) > min(self.n_units_grid):
             raise ConfigError(
                 f"harness.attacked_grid (max {max(self.attacked_grid)}) exceeds "
@@ -134,7 +190,7 @@ class ExperimentConfig:
             cascade = self.profiles["alice_ris"].total_power * self.profiles["ris_bob"].total_power
             filters = 0.5 * (self.profiles["alice_hf"].total_power + self.profiles["bob_hf"].total_power)
             return filters * (direct + cascade)
-        return float(self.noise_ref_mode)
+        return self.noise_ref_mode
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)
@@ -151,33 +207,6 @@ def _flatten(mapping, prefix=""):
                 raise ConfigError(f"{dotted}: given both nested and dotted")
             flat[dotted] = leaf
     return flat
-
-
-def _require_int(raw, key):
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}")
-    return raw
-
-
-def _require_number(raw, key):
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {raw!r}")
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: must be finite, got {raw!r}")
-    return value
-
-
-def _require_choice(raw, key, choices):
-    if raw not in choices:
-        raise ConfigError(f"{key}: expected one of {sorted(choices)}, got {raw!r}")
-    return raw
-
-
-def _require_list(raw, key):
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigError(f"{key}: expected a list, got {raw!r}")
-    return list(raw)
 
 
 def _profile_for(link, values):
@@ -203,50 +232,16 @@ def build_config(overrides: Optional[dict] = None) -> ExperimentConfig:
         raise ConfigError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
     values.update(overrides or {})
 
-    ofdm = OfdmConfig(
-        symbol_length=_require_int(values["ofdm.symbol_length"], "ofdm.symbol_length"),
-        subcarrier_spacing_hz=_require_number(
-            values["ofdm.subcarrier_spacing_khz"], "ofdm.subcarrier_spacing_khz") * 1e3,
-        pilot_interval=_require_int(values["ofdm.pilot_interval"], "ofdm.pilot_interval"),
-    )
-
-    noise_ref_raw = values["ofdm.noise_ref"]
-    if isinstance(noise_ref_raw, (int, float)) and not isinstance(noise_ref_raw, bool):
-        if not math.isfinite(float(noise_ref_raw)) or float(noise_ref_raw) <= 0:
-            raise ConfigError(f"ofdm.noise_ref: a numeric reference power must be > 0, got {noise_ref_raw!r}")
-        noise_ref_mode = float(noise_ref_raw)
-    else:
-        noise_ref_mode = _require_choice(noise_ref_raw, "ofdm.noise_ref", {"link", "pilot", "measured"})
-
-    profiles = {link: _profile_for(link, values) for link in _LINK_KEYS}
-
-    snr_grid = tuple(
-        _require_number(v, "harness.snr_grid_db")
-        for v in _require_list(values["harness.snr_grid_db"], "harness.snr_grid_db")
-    )
-    trials = _require_int(values["harness.trials"], "harness.trials")
-    schemes = tuple(
-        Scheme(_require_choice(v, "harness.schemes", {s.value for s in Scheme}))
-        for v in _require_list(values["harness.schemes"], "harness.schemes")
-    )
-    n_units_grid, attacked_grid = (
-        tuple(_require_int(v, key) for v in _require_list(values[key], key))
-        for key in ("harness.n_units_grid", "harness.attacked_grid")
-    )
-
+    spacing = values["ofdm.subcarrier_spacing_khz"]
     return ExperimentConfig(
-        ofdm=ofdm,
-        noise_ref_mode=noise_ref_mode,
-        profiles=profiles,
-        gamma_mode=values["protocol.gamma_mode"],
-        gamma_window=_require_int(values["protocol.gamma_window"], "protocol.gamma_window"),
-        snr_grid_db=snr_grid,
-        trials=trials,
-        schemes=schemes,
-        n_units_grid=n_units_grid,
-        attacked_grid=attacked_grid,
-        master_seed=_require_int(values["harness.master_seed"], "harness.master_seed"),
-        jobs=_require_int(values["harness.jobs"], "harness.jobs"),
+        ofdm=OfdmConfig(
+            symbol_length=values["ofdm.symbol_length"],
+            # a non-number goes on unscaled, for OfdmConfig to reject
+            subcarrier_spacing_hz=spacing * 1e3 if _is_number(spacing) else spacing,
+            pilot_interval=values["ofdm.pilot_interval"],
+        ),
+        profiles={link: _profile_for(link, values) for link in _LINK_KEYS},
+        **{field: values[key] for field, key, _ in (*_SCALARS, *_LISTS)},
     )
 
 

@@ -73,10 +73,8 @@ def _environment(config: ExperimentConfig, snr_db, n_units, attacked, block, tri
     """`trials` rounds of one point as one batched environment, keyed by the
     point parameters only."""
     snr_key = int(round(snr_db * 1000.0)) + _SNR_KEY_OFFSET
-    if snr_key < 0:
-        raise ValueError("snr_db out of the encodable range")
     lead, tag = block
-    stream = (int(config.master_seed), lead, snr_key, int(n_units), int(attacked), tag)
+    stream = (config.master_seed, lead, snr_key, int(n_units), int(attacked), tag)
     return Environment(config.ofdm, config.profiles, n_units, attacked, snr_db, stream,
                        noise_ref=config.noise_ref, trials=trials)
 

@@ -27,9 +27,12 @@ from ._rng import as_rng  # noqa: F401
 class OfdmConfig:
     """Waveform parameters of the probing signal.
 
-    An out-of-range field raises `ConfigError` naming its configuration key,
-    so a waveform is checked the same way whether it comes from a file or
-    is built directly and passed to ``ExperimentConfig.with_overrides``.
+    Each field is checked and normalized here, so a waveform is held to the
+    same rules whether it comes from a file or is built directly and passed
+    to ``ExperimentConfig.with_overrides``: `symbol_length` and
+    `pilot_interval` are ints >= 1 (not bools), and the spacing is a finite
+    number >= 0, stored as a float.  A violation raises `ConfigError` naming
+    the configuration key.
     """
 
     symbol_length: int = 64
@@ -37,16 +40,15 @@ class OfdmConfig:
     pilot_interval: int = 5
 
     def __post_init__(self):
-        for key, value, valid, rule in (
-            ("ofdm.symbol_length", self.symbol_length, self.symbol_length >= 1, ">= 1"),
-            ("ofdm.subcarrier_spacing_khz", self.subcarrier_spacing_hz / 1e3,
-             math.isfinite(self.subcarrier_spacing_hz) and self.subcarrier_spacing_hz >= 0, "finite and >= 0"),
-            ("ofdm.pilot_interval", self.pilot_interval, self.pilot_interval >= 1, ">= 1"),
-        ):
-            if not valid:
-                from .config import ConfigError  # config imports this module
+        from .config import ConfigError, _integer, _is_number  # config imports this module
 
-                raise ConfigError(f"{key}: must be {rule}, got {value}")
+        for key in ("symbol_length", "pilot_interval"):
+            object.__setattr__(self, key, _integer(getattr(self, key), f"ofdm.{key}", 1))
+        spacing = self.subcarrier_spacing_hz
+        if not (_is_number(spacing) and 0 <= spacing < math.inf):
+            raise ConfigError(f"ofdm.subcarrier_spacing_khz: expected a finite number >= 0, "
+                              f"got subcarrier_spacing_hz={spacing!r}")
+        object.__setattr__(self, "subcarrier_spacing_hz", float(spacing))
 
     @property
     def subcarrier_freqs(self) -> np.ndarray:

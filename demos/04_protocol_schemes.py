@@ -16,7 +16,7 @@ from lockeysim.protocol import Environment, Scheme, run_round
 config = build_config({})
 
 print("== hardware cancellation without an attack (noiseless) ==")
-env = Environment(config.ofdm, config.profiles, 30, 0, None, (1,))
+env = Environment(config.ofdm, config.profiles, 30, 0, None, (1,), trials=1)
 alice, bob = run_round(env)[0][Scheme.LOOPBACK]
 gap = np.max(np.abs(alice - bob))
 print(f"  distinct direction filters, yet max |H_A - H_B| = {gap:.2e}")

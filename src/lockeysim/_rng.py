@@ -20,10 +20,10 @@ Sub-streams are derived with :func:`substream` by appending indices to the
 key tuple.  This never mutates parent state, so the same key always yields
 the same stream regardless of evaluation order or parallelism.
 
-Stochastic kernel functions take an optional ``trials`` count.  With it they
-draw every trial of a block from the one stream, as a leading array axis
-(see :func:`batch_shape`); the number of streams, and of Generators built,
-does not grow with the trial count.
+Stochastic kernel functions take a ``trials`` count (1 by default) and draw
+every trial of a block from the one stream, as a leading array axis of that
+length; the number of streams, and of Generators built, does not grow with
+the trial count.
 
 The model samplers of :mod:`lockeysim.analysis` instead split a long draw
 into fixed-size blocks, block ``i`` drawing from ``substream(stream, i)``.
@@ -71,11 +71,6 @@ def _as_key(stream) -> tuple:
 def substream(stream, *indices: int):
     """Derive an independent child stream key from `stream` and `indices`."""
     return _as_key(stream) + tuple(int(i) for i in indices)
-
-
-def batch_shape(trials, *shape) -> tuple:
-    """Shape of a draw of `shape` per trial; ``trials=None`` draws it once."""
-    return shape if trials is None else (int(trials), *shape)
 
 
 def _words(key: tuple) -> list:

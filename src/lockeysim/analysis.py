@@ -129,21 +129,23 @@ def _moment_sums(x: np.ndarray, y: np.ndarray, terms: str) -> list:
 
 
 def correlation(xs, ys) -> complex:
-    """Correlation coefficient of two complex sample sets.
+    """Correlation coefficient of two complex sample sets of one shape.
 
     Computed as ``(E[X Y*] - E[X] E[Y*]) / (sqrt(E[|X|^2]) sqrt(E[|Y|^2]))``.
     Note the denominator uses raw second moments, not centered variances;
     for zero-mean inputs this is the ordinary complex correlation
     coefficient and ``correlation(x, x) == 1``.
     """
-    xs = np.asarray(xs, dtype=complex).reshape(-1)
-    ys = np.asarray(ys, dtype=complex).reshape(-1)
+    xs = np.asarray(xs, dtype=complex)
+    ys = np.asarray(ys, dtype=complex)
     if xs.size != ys.size:
         raise ValueError(f"sample sets differ in length: {xs.size} vs {ys.size}")
     if xs.size < 2:
         raise ValueError("need at least 2 samples")
+    if xs.shape != ys.shape:  # equal sizes, but the samples would pair by flattened position
+        raise ValueError(f"sample sets differ in shape: {xs.shape} vs {ys.shape}")
     n = xs.size
-    sxx, syy, sxy, sx, sy = _moment_sums(xs, ys, "xx yy xy x y")
+    sxx, syy, sxy, sx, sy = _moment_sums(xs.reshape(-1), ys.reshape(-1), "xx yy xy x y")
     denom = math.sqrt(sxx / n) * math.sqrt(syy / n)
     if denom == 0.0:
         raise DegenerateSampleError("degenerate samples: zero second moment")
@@ -193,14 +195,16 @@ class PredictionError:
 
 
 def empirical_mse(predicted, actual) -> PredictionError:
-    """Mean squared error between a predicted and an actually measured sample set."""
-    predicted = np.asarray(predicted, dtype=complex).reshape(-1)
-    actual = np.asarray(actual, dtype=complex).reshape(-1)
+    """Mean squared error between a predicted and a measured sample set of one shape."""
+    predicted = np.asarray(predicted, dtype=complex)
+    actual = np.asarray(actual, dtype=complex)
     if predicted.size != actual.size:
         raise ValueError("predicted and actual sample counts differ")
     if predicted.size == 0:
         raise ValueError("empty sample set")
-    (error_power,) = _moment_sums(predicted, actual, "dd")
+    if predicted.shape != actual.shape:
+        raise ValueError(f"predicted and actual differ in shape: {predicted.shape} vs {actual.shape}")
+    (error_power,) = _moment_sums(predicted.reshape(-1), actual.reshape(-1), "dd")
     return PredictionError(float(error_power) / predicted.size)
 
 

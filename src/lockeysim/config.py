@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
@@ -126,14 +128,14 @@ class ExperimentConfig:
     key.  Integers are ints and not bools; each list field is a non-empty
     list or tuple of distinct entries and is stored as a tuple; a scheme may
     be given by name and is stored as a `Scheme`; a numeric noise reference
-    is stored as a float.  `profiles` holds a `TapProfile` (which checks its
-    own taps) for each of the five links, and `ofdm` is an `OfdmConfig`
-    (which checks its own fields and raises the same error).
+    is stored as a float.  `profiles`, stored as a read-only copy, maps the
+    five links to `TapProfile`s (which check their own taps), and `ofdm` is
+    an `OfdmConfig` (which checks its own fields and raises the same error).
     """
 
     ofdm: OfdmConfig
     noise_ref_mode: str | float
-    profiles: dict
+    profiles: Mapping
     gamma_mode: str
     gamma_window: int
     snr_grid_db: tuple
@@ -148,9 +150,10 @@ class ExperimentConfig:
         if not isinstance(self.ofdm, OfdmConfig):
             raise ConfigError(f"ofdm: expected an OfdmConfig, got {self.ofdm!r}")
         for link in _LINK_KEYS:
-            profile = self.profiles.get(link) if isinstance(self.profiles, dict) else None
+            profile = self.profiles.get(link) if isinstance(self.profiles, Mapping) else None
             if not isinstance(profile, TapProfile):
                 raise ConfigError(f"channel.{link}: expected a TapProfile, got {profile!r}")
+        object.__setattr__(self, "profiles", types.MappingProxyType(dict(self.profiles)))
         for field, key, check in _SCALARS:
             object.__setattr__(self, field, check(getattr(self, field), key))
         for field, key, check in _LISTS:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rng import Stream, _cartesian_normal, as_rng, batch_shape
+from ._rng import Stream, _cartesian_normal, as_rng
 
 
 @dataclass(frozen=True)
@@ -116,13 +116,13 @@ DEFAULT_PROFILES = {
 }
 
 
-def make_fading_process(profile: TapProfile, stream: Stream, trials: Optional[int] = None) -> np.ndarray:
-    """Draw ``([trials,] n_taps)`` tap gains for `profile`: circular complex
+def make_fading_process(profile: TapProfile, stream: Stream, trials: int = 1) -> np.ndarray:
+    """Draw ``(trials, n_taps)`` tap gains for `profile`: circular complex
     Gaussian with the profile's linear tap powers, independent across taps
     and trials (`trials` realizations from the one stream).  Deterministic
     for a fixed stream id; an invalid profile is rejected by TapProfile itself.
     """
-    return _cartesian_normal(as_rng(stream), batch_shape(trials, profile.n_taps), profile._component_std)
+    return _cartesian_normal(as_rng(stream), (trials, profile.n_taps), profile._component_std)
 
 
 def _grid(subcarrier_freqs) -> tuple:
@@ -151,8 +151,8 @@ def _steering(profile: TapProfile, freqs: tuple) -> np.ndarray:
 
 
 def frequency_response(profile: TapProfile, gains, subcarrier_freqs) -> np.ndarray:
-    """Per-subcarrier response ``([trials,] n_freqs)`` of the tapped-delay line
-    with `profile`'s delays and the ``([trials,] n_taps)`` tap `gains`.
+    """Per-subcarrier response ``(..., n_freqs)`` of the tapped-delay line
+    with `profile`'s delays and the ``(..., n_taps)`` tap `gains`.
 
     The response at frequency f is ``sum_l gain_l * exp(-2j*pi*f*delay_l)``.
     """

@@ -52,11 +52,8 @@ class OfdmConfig:
 
     @property
     def subcarrier_freqs(self) -> np.ndarray:
-        """Baseband subcarrier offsets in Hz.
-
-        The carrier frequencies only select which fading realization a band
-        uses; they do not enter the per-subcarrier math.
-        """
+        """Baseband subcarrier offsets in Hz.  No carrier frequency is
+        modelled: each slot draws fresh taps, and "band 1/2" names the slot."""
         return np.arange(self.symbol_length) * self.subcarrier_spacing_hz
 
     @property

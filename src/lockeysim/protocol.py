@@ -3,11 +3,12 @@
 A round spans two coherence slots.  In the first slot the parties probe
 each other once on band 1 (the classical TDD exchange); in the second slot
 each retransmits what it received, through band 2, so both observe a
-product of the two directions' responses.  Because the product carries the
-same pair of direction filters on both sides, fixed hardware asymmetry
-cancels exactly.  The surface aggregate does not cancel when an attacker
-desynchronizes the two directions, which is what the prediction-scalar
-compensation of the third scheme targets.
+product of the two directions' responses.  "Band 1" and "band 2" name the
+two slots: no carrier frequency enters the model.  Because the product
+carries the same pair of direction filters on both sides, fixed hardware
+asymmetry cancels exactly.  The surface aggregate does not cancel when an
+attacker desynchronizes the two directions, which is what the
+prediction-scalar compensation of the third scheme targets.
 
 The three schemes are three readings of one round, so `run_round` runs the
 two slots once and returns every scheme's pair: the plain exchange reads
@@ -16,14 +17,14 @@ compensated scheme scales Alice's product by the prediction scalar.
 
 Within a slot the air channel is reciprocal: one fading realization per
 link is shared by both directions.  Each slot draws fresh independent
-Gaussian taps for every link, one set per band; no channel aging between
-the slots is modelled.  The surface enters a slot only through its two
-aggregates from `ris.surface_aggregates`, one per probe, each scaling the
-slot's cascaded product ``h_ar * h_rb``.
+Gaussian taps for every link; no channel aging between the slots is
+modelled.  The surface enters a slot only through its two aggregates from
+`ris.surface_aggregates`, one per probe, each scaling the slot's cascaded
+product ``h_ar * h_rb``.
 
-An environment built with ``trials=T`` holds T independent rounds along a
-leading array axis, and every function below runs all of them at once; an
-environment built without `trials` is one round with unbatched shapes.
+An environment holds `trials` independent rounds (one by default) along a
+leading array axis, and every function below runs all of them at once: each
+estimate and key source is a ``(trials, pilots)`` array.
 
 `Environment.stream` is the only key of a round; every draw of slot s
 (0 for the exchange, 1 for the loop-back) is keyed below it:
@@ -66,8 +67,8 @@ _SLOT_LINKS = ("alice_bob", "alice_ris", "ris_bob")
 
 @dataclass(frozen=True, eq=False)
 class Environment:
-    """Everything one probing round (or a block of `trials` rounds) needs,
-    spanning both coherence slots.
+    """Everything a block of `trials` probing rounds needs, spanning both
+    coherence slots.
 
     `profiles` maps the keys ``alice_bob``, ``alice_ris``, ``ris_bob``,
     ``alice_hf`` and ``bob_hf`` to tap profiles; the last two are each
@@ -77,8 +78,8 @@ class Environment:
 
     The fading is not stored: each link's realization is drawn from
     `stream` when a slot reads it (see the module docstring for the keys).
-    The two slots get independent realizations of the same profiles; the
-    band carrier frequencies only label which realization a probe uses.
+    Each slot draws fresh taps of the same profiles, and the band a probe
+    uses only names its slot.
     An invalid surface range is rejected by `ris.surface_aggregates` when
     the first slot is drawn.
     """
@@ -90,7 +91,7 @@ class Environment:
     snr_db: Optional[float]
     stream: Stream
     noise_ref: Optional[float] = 1.0
-    trials: Optional[int] = None
+    trials: int = 1
 
 
 def _exchange(env: Environment, slot: int, probes):
@@ -126,7 +127,7 @@ def _exchange(env: Environment, slot: int, probes):
     aggregates = surface_aggregates(env.n_units, env.attacked, stream, env.trials)
     estimates = []
     for noise_index, phi, (sender, payload) in zip((2, 3), aggregates, probes):
-        clean = fingerprint_response(env.profiles[f"{sender}_hf"], freqs) * (direct + cascade * phi[..., None])
+        clean = fingerprint_response(env.profiles[f"{sender}_hf"], freqs) * (direct + cascade * phi[:, None])
         if payload is not None:
             clean *= payload
         estimates.append(add_awgn(clean, env.snr_db, substream(stream, noise_index), ref_power=env.noise_ref))
@@ -170,12 +171,14 @@ def estimate_gamma(history_a, history_b, min_rounds: int = 200) -> np.ndarray:
     For each subcarrier k the estimate is
     ``sum_r H_B[r, k] * conj(H_A[r, k]) / sum_r |H_A[r, k]|^2``,
     the sample form of the error-power minimizer, with the sums running
-    over the window's rounds.
+    over the rounds of the ``(rounds, subcarriers)`` histories.
     """
-    h_a = np.atleast_2d(np.asarray(history_a, dtype=complex))
-    h_b = np.atleast_2d(np.asarray(history_b, dtype=complex))
+    h_a = np.asarray(history_a, dtype=complex)
+    h_b = np.asarray(history_b, dtype=complex)
     if h_a.shape != h_b.shape:
-        raise ValueError("history sides differ in shape")
+        raise ValueError(f"history sides differ in shape: {h_a.shape} vs {h_b.shape}")
+    if h_a.ndim != 2:
+        raise ValueError(f"histories must be (rounds, subcarriers) arrays, got {h_a.shape} and {h_b.shape}")
     if h_a.shape[0] < min_rounds:
         raise ValueError(
             f"history of {h_a.shape[0]} rounds is shorter than the minimum {min_rounds}"
@@ -194,16 +197,15 @@ def run_round(env: Environment, gamma=None, swap_roles: bool = False):
     its ``(alice, bob)`` pair: the first-slot estimates for the plain
     exchange, the loop-back products for the loop-back scheme, and for the
     compensated scheme Alice's product times gamma with Bob's product.
-    Key sources hold one entry per pilot subcarrier: shape
-    ``(pilot_positions.size,)``, or ``(trials, pilot_positions.size)`` for a
-    batched environment.
+    Key sources hold one entry per trial and pilot subcarrier: shape
+    ``(trials, pilot_positions.size)``.
 
     With ``gamma=None`` each round fits one prediction scalar pooled over
     its pilot subcarriers, ``sum H_B * conj(H_A) / sum |H_A|^2``: the surface
     aggregate is common to all subcarriers, so the mismatch an attacker
     injects into a round is mostly one complex factor, absorbed without any
-    training history.  A batched round gets a ``(trials, 1)`` column; an
-    all-zero loop-back side raises `DegenerateSampleError`.  A given `gamma`
+    training history.  The fit is a ``(trials, 1)`` column; an all-zero
+    loop-back side raises `DegenerateSampleError`.  A given `gamma`
     (a scalar or a per-subcarrier array) must broadcast to the estimates'
     shape, else ValueError.  `gamma_applied` is the value that scaled
     Alice's side: the fit, or the given object itself.  Deterministic: an

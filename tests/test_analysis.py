@@ -83,6 +83,12 @@ class TestCorrelation:
         with pytest.raises(ValueError):
             correlation(np.ones(3), np.ones(4))
 
+    def test_rejects_equal_sizes_of_different_shapes(self):
+        # a transposed block would pair samples by flattened position
+        a = np.arange(50 * 13, dtype=float).reshape(50, 13)
+        with pytest.raises(ValueError, match=r"differ in shape: \(50, 13\) vs \(13, 50\)"):
+            correlation(a, a.T)
+
 
 class TestRho1:
     def test_direct_evaluation_point5(self):
@@ -197,6 +203,11 @@ class TestEmpiricalMse:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             empirical_mse(np.array([]), np.array([]))
+
+    def test_rejects_equal_sizes_of_different_shapes(self):
+        a = np.arange(50 * 13, dtype=float).reshape(50, 13)
+        with pytest.raises(ValueError, match=r"differ in shape: \(50, 13\) vs \(13, 50\)"):
+            empirical_mse(a, a.T)
 
 
 def two_pass_correlation(xs, ys):

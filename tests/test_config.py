@@ -89,6 +89,21 @@ def test_ofdm_and_profiles_must_be_their_types():
         config.with_overrides(profiles=profiles)
 
 
+def test_profiles_are_a_read_only_copy():
+    # the checks ran on these profiles, so neither the config's mapping nor
+    # the caller's dict it was built from may change them afterwards
+    profiles = dict(build_config({}).profiles)
+    config = build_config({"harness.trials": 8}).with_overrides(profiles=profiles)
+    with pytest.raises(TypeError):
+        config.profiles["alice_bob"] = config.profiles["ris_bob"]
+    with pytest.raises(AttributeError):
+        config.profiles.clear()
+    profiles.clear()
+    assert config.profiles["alice_bob"] == build_config({}).profiles["alice_bob"]
+    assert config.with_overrides(trials=9).profiles == config.profiles
+    assert len(run_cell(config, 10.0, 30, 5)) == 3
+
+
 def test_values_are_normalized():
     config = build_config({}).with_overrides(
         schemes=["lockey", Scheme.LOOPBACK], snr_grid_db=[10], n_units_grid=[30], noise_ref_mode=2)

@@ -66,9 +66,9 @@ class TestFadingProcess:
     def test_single_tap_unit_power_doppler0_is_constant_flat(self):
         profile = TapProfile((0.0,), (0.0,))
         gains = make_fading_process(profile, (7,))
-        assert gains.shape == (1,)
+        assert gains.shape == (1, 1)
         freqs = np.arange(0, 64) * 15e3
-        h0 = frequency_response(profile, gains, freqs)
+        h0 = frequency_response(profile, gains, freqs)[0]
         # flat: the single gain appears at every subcarrier
         np.testing.assert_allclose(h0, h0[0])
         # unit variance over an ensemble
@@ -89,7 +89,7 @@ class TestFadingProcess:
 class TestFrequencyResponse:
     def test_tap_sum_oracle(self):
         # brute-force summation over taps
-        gains = make_fading_process(ALICE_BOB_PROFILE, (11,))
+        gains = make_fading_process(ALICE_BOB_PROFILE, (11,))[0]
         freqs = np.arange(64) * 15e3
         expected = np.array([
             sum(g * np.exp(-2j * np.pi * f * d)

@@ -22,7 +22,7 @@ from lockeysim.ris import surface_aggregates
 CFG = build_config({})
 
 
-def make_env(attacked=0, snr_db=None, n_units=30, stream=(1,), profiles=None, trials=None):
+def make_env(attacked=0, snr_db=None, n_units=30, stream=(1,), profiles=None, trials=1):
     return Environment(
         CFG.ofdm,
         profiles or CFG.profiles,
@@ -76,7 +76,7 @@ class TestMeasureRound:
             fingerprint_response(env.profiles["alice_hf"], freqs)
             / fingerprint_response(env.profiles["bob_hf"], freqs)
         )
-        np.testing.assert_allclose(h_b1 / h_a1, expected, rtol=1e-9)
+        np.testing.assert_allclose((h_b1 / h_a1)[0], expected, rtol=1e-9)
 
     def test_full_attack_difference_oracle(self):
         # identity filters, noiseless, every unit re-randomized: the pair
@@ -86,7 +86,7 @@ class TestMeasureRound:
         freqs = env.ofdm.pilot_freqs
         phi_first, phi_second = surface_aggregates(30, env.attacked, slot_stream(env, 0))
         cascade = air_response(env, 0, 1, freqs) * air_response(env, 0, 2, freqs)
-        expected = cascade * (phi_second - phi_first)
+        expected = cascade * (phi_second - phi_first)[:, None]
         np.testing.assert_allclose(h_a1 - h_b1, expected, rtol=1e-9)
 
     @pytest.mark.parametrize("n_units, attacked, message", [
@@ -132,8 +132,8 @@ class TestLoopbackCombine:
         phi_first, phi_second = surface_aggregates(30, env.attacked, slot_stream(env, 1))
         fp_ba = fingerprint_response(env.profiles["bob_hf"], freqs)
         fp_ab = fingerprint_response(env.profiles["alice_hf"], freqs)
-        expected_a = fp_ba * (direct + cascade * phi_first) * h_b1
-        expected_b = fp_ab * (direct + cascade * phi_second) * h_a1
+        expected_a = fp_ba * (direct + cascade * phi_first[:, None]) * h_b1
+        expected_b = fp_ab * (direct + cascade * phi_second[:, None]) * h_a1
         np.testing.assert_allclose(h_a, expected_a, rtol=1e-9)
         np.testing.assert_allclose(h_b, expected_b, rtol=1e-9)
 
@@ -177,6 +177,18 @@ class TestPilotGrid:
         shape = (9, CFG.ofdm.pilot_positions.size)
         assert alice.shape == bob.shape == shape
 
+    def test_one_round_is_a_block_of_one_trial(self):
+        # without `trials` every kernel keeps the trial axis, of length 1
+        env = Environment(CFG.ofdm, CFG.profiles, 30, 5, 10.0, (4,))
+        profile = CFG.profiles["alice_bob"]
+        assert make_fading_process(profile, (4,)).shape == (1, profile.n_taps)
+        assert [phi.shape for phi in surface_aggregates(30, 5, (4,))] == [(1,), (1,)]
+        first = measure_round(env)
+        sources, gamma = run_round(env)
+        for pair in (first, loopback_combine(first, env), *sources.values()):
+            assert [side.shape for side in pair] == [(1, CFG.ofdm.pilot_positions.size)] * 2
+        assert gamma.shape == (1, 1)
+
     def test_measured_noise_follows_each_probes_pilot_grid_power(self):
         # `measured` references each probe's SNR to its own mean received
         # power over the pilot subcarriers; rows of low and of high power
@@ -206,7 +218,7 @@ class TestProbeNoise:
     def unit_noise(shape, snr_db, stream, index):
         return add_awgn(np.zeros(shape, dtype=complex), snr_db, substream(stream, index), ref_power=1.0)
 
-    @pytest.mark.parametrize("trials", [None, 2000])
+    @pytest.mark.parametrize("trials", [1, 2000])
     def test_first_slot_noise_is_each_probes_own_draw(self, trials):
         env = make_env(attacked=5, snr_db=self.SNR_DB, trials=trials)
         stream = slot_stream(env, 0)
@@ -216,7 +228,7 @@ class TestProbeNoise:
         for got, want, index in zip(noisy, clean, (3, 2)):
             draw = self.unit_noise(want.shape, self.SNR_DB, stream, index)
             np.testing.assert_allclose(got - want, draw, rtol=0, atol=1e-12)
-            if trials:
+            if trials > 1:
                 assert np.mean(np.abs(got - want) ** 2) == pytest.approx(10.0 ** (-self.SNR_DB / 10.0), rel=0.05)
 
     def test_second_slot_noise_is_each_probes_own_draw(self):
@@ -252,6 +264,13 @@ class TestGamma:
         gamma = estimate_gamma(x[:, None], y[:, None], min_rounds=1)[0]
         assert abs(gamma) == pytest.approx(gamma_analytic(stats), abs=0.02)
 
+    def test_rejects_a_history_that_is_not_rounds_by_subcarriers(self):
+        # 300 samples of one subcarrier are a (300, 1) history, not one round
+        h = np.ones(300, dtype=complex)
+        with pytest.raises(ValueError, match=r"\(rounds, subcarriers\).*\(300,\) and \(300,\)"):
+            estimate_gamma(h, h, min_rounds=1)
+        assert estimate_gamma(h[:, None], h[:, None], min_rounds=1).shape == (1,)
+
     def test_rejects_short_history(self):
         h = np.ones((10, 4), dtype=complex)
         with pytest.raises(ValueError, match="shorter"):
@@ -277,8 +296,8 @@ class TestGamma:
         # round's pilot subcarriers
         sources, gamma_used = run_round(make_env(attacked=5, snr_db=10.0))
         h_a, h_b = sources[Scheme.LOOPBACK]
-        assert gamma_used.shape == (1,)
-        assert gamma_used[0] == pytest.approx(pooled_gamma(h_a, h_b))
+        assert gamma_used.shape == (1, 1)
+        assert gamma_used[0, 0] == pytest.approx(pooled_gamma(h_a, h_b)[0])
 
 
 class TestApplyCompensation:
@@ -309,7 +328,7 @@ class TestApplyCompensation:
         # would widen it, is rejected with both shapes named
         n = CFG.ofdm.pilot_positions.size
         for shape in ((3,), (2, n)):
-            with pytest.raises(ValueError, match=rf"{re.escape(str(shape))}.*\({n},\)"):
+            with pytest.raises(ValueError, match=rf"{re.escape(str(shape))}.*\(1, {n}\)"):
                 self.compensate(np.ones(shape, dtype=complex))
 
 
@@ -319,7 +338,7 @@ class TestRunRound:
         alice, bob = run_round(env)[0][Scheme.NON_LOOPBACK]
         np.testing.assert_allclose(alice, bob, rtol=1e-12)
 
-    @pytest.mark.parametrize("trials", [None, 7])
+    @pytest.mark.parametrize("trials", [1, 7])
     def test_schemes_read_one_round(self, trials):
         # the plain pair is the first slot and the loop-back pair is the
         # second slot of the same round, element for element
@@ -452,7 +471,7 @@ class TestLabelSwapSymmetry:
         swapped_alice, swapped_bob = run_round(swapped_environment(env), swap_roles=True)[0][Scheme.LOCKEY]
         # the swapped run predicts the original alice-side estimate from the
         # original bob-side estimate
-        gamma = pooled_gamma(normal_bob, normal_alice)
+        gamma = pooled_gamma(normal_bob, normal_alice)[:, None]
         np.testing.assert_allclose(swapped_alice, gamma * normal_bob, rtol=1e-10)
         np.testing.assert_array_equal(swapped_bob, normal_alice)
 
@@ -467,7 +486,7 @@ def filter_profiles(draw):
 
 
 STREAM_KEYS = st.integers(0, 2 ** 32 - 1)
-TRIALS = st.one_of(st.none(), st.integers(1, 4))
+TRIALS = st.integers(1, 4)
 
 
 class TestProtocolProperties:

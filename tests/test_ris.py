@@ -97,13 +97,16 @@ class TestAggregatePhase:
             for phi in surface_aggregates(30, 10, (8, i)):
                 assert abs(phi[0]) <= 30 + 1e-12
 
-    @pytest.mark.parametrize("trials", [1, 50, 200])
+    @pytest.mark.parametrize("trials", [None, 1, 50, 200])
     @pytest.mark.parametrize("attacked", [0, 1, 5, 30])
     def test_bitwise_equal_to_full_angle_draw(self, trials, attacked):
-        # half-angle draws and indexed writes keep every bit of the aggregates
-        got = surface_aggregates(30, attacked, (11, attacked), trials)
-        for phi, expected in zip(got, full_angle_aggregates(30, attacked, (11, attacked), trials)):
-            assert phi.shape == (trials,)
+        # half-angle draws and indexed writes keep every bit of the aggregates;
+        # trials=None leaves the argument out, so the default draws one trial
+        given_trials = {} if trials is None else {"trials": trials}
+        rows = 1 if trials is None else trials
+        got = surface_aggregates(30, attacked, (11, attacked), **given_trials)
+        for phi, expected in zip(got, full_angle_aggregates(30, attacked, (11, attacked), rows)):
+            assert phi.shape == (rows,)
             assert phi.tobytes() == expected.tobytes()
 
     def test_batch_equals_complex_exponential_sum(self):
